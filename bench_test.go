@@ -437,12 +437,15 @@ func BenchmarkHIRInterp(b *testing.B) {
 	hb.SetBlock(f)
 	hb.Return(hir.NoReg)
 	fn := hb.Fn()
-	env := &hir.Env{Globals: hir.NewState()}
+	lk, err := hir.Link(fn, &hir.Env{Globals: hir.NewState()})
+	if err != nil {
+		b.Fatal(err)
+	}
 	var scratch []hir.Value
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, scratch, _ = hir.ExecReuse(fn, env, scratch)
+		_, scratch, _ = lk.Exec(scratch)
 	}
 }
 

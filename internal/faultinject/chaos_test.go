@@ -86,8 +86,8 @@ func runSeccommChaos(t *testing.T, seed int64, pushes int) chaosOutcome {
 	}
 
 	// Interpose injection after optimization: interpreted fused bodies
-	// resolve intrinsics through the module map at execution time, so the
-	// installed super-handler faults too.
+	// call through the intrinsic's slot, which WrapIntrinsic updates in
+	// place, so the installed super-handler faults too.
 	inj := faultinject.New(seed)
 	inj.SetRate(0.01)
 	if !e.Mod.WrapIntrinsic("xor_apply", func(base hir.Intrinsic) hir.Intrinsic {

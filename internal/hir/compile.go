@@ -14,6 +14,7 @@ import (
 // activation of its handler.
 type Compiled struct {
 	name    string
+	env     *Env
 	numRegs int
 	blocks  [][]instrFn
 	terms   []termFn
@@ -48,7 +49,7 @@ func compile(fn *Function, env *Env, inProgress map[string]bool) (*Compiled, err
 	if err := fn.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Compiled{name: fn.Name, numRegs: fn.NumRegs, terms: make([]termFn, len(fn.Blocks))}
+	c := &Compiled{name: fn.Name, env: env, numRegs: fn.NumRegs, terms: make([]termFn, len(fn.Blocks))}
 	c.blocks = make([][]instrFn, len(fn.Blocks))
 	for bi := range fn.Blocks {
 		blk := &fn.Blocks[bi]
@@ -150,7 +151,7 @@ func compileInstr(in *Instr, env *Env, inProgress map[string]bool) (instrFn, err
 		op := in.Un
 		return func(f *frame) error { f.regs[dst] = EvalUn(op, f.regs[a]); return nil }, nil
 	case OpCall:
-		intr, ok := env.Intrinsics[sym]
+		intr, ok := env.intrinsicSlot(sym).Load()
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrNoIntrinsic, sym)
 		}
@@ -192,20 +193,18 @@ func compileInstr(in *Instr, env *Env, inProgress map[string]bool) (instrFn, err
 		if inProgress[sym] {
 			// Recursive call: interpret the callee; a halt inside it
 			// aborts the caller, matching interpreter semantics.
+			lc, err := Link(callee, env)
+			if err != nil {
+				return nil, err
+			}
 			return func(f *frame) error {
 				vals := make([]Value, len(args))
 				for i, r := range args {
 					vals[i] = f.regs[r]
 				}
-				v, halted, _, err := execReuseHalt(callee, env, nil, vals)
+				v, err := lc.run(make([]Value, lc.stack), vals, f.budget, 0)
 				f.regs[dst] = v
-				if err != nil {
-					return err
-				}
-				if halted {
-					return ErrHalted
-				}
-				return nil
+				return err
 			}, nil
 		}
 		inProgress[sym] = true
@@ -219,30 +218,25 @@ func compileInstr(in *Instr, env *Env, inProgress map[string]bool) (instrFn, err
 			for i, r := range args {
 				vals[i] = f.regs[r]
 			}
-			v, halted, _, err := sub.execHalt(nil, vals)
+			v, err := sub.run(make([]Value, sub.numRegs), vals, f.budget)
 			f.regs[dst] = v
-			if err != nil {
-				return err
-			}
-			if halted {
-				return ErrHalted
-			}
-			return nil
+			return err
 		}, nil
 	case OpRaise:
-		raise := env.Raise
+		var raise func([]Value)
+		if env.LinkRaise != nil {
+			raise = env.LinkRaise(RaiseSite{Event: sym, Names: in.ArgNames, Async: in.Async, Delay: in.Delay})
+		}
 		if raise == nil {
 			return func(*frame) error { return nil }, nil
 		}
 		args := append([]Reg(nil), in.Args...)
-		names := append([]string(nil), in.ArgNames...)
-		async, delay := in.Async, in.Delay
 		return func(f *frame) error {
-			nv := make([]NamedValue, len(args))
+			vals := make([]Value, len(args))
 			for i, r := range args {
-				nv[i] = NamedValue{Name: names[i], Val: f.regs[r]}
+				vals[i] = f.regs[r]
 			}
-			raise(sym, async, delay, nv)
+			raise(vals)
 			return nil
 		}, nil
 	case OpHalt:
@@ -281,48 +275,48 @@ func compileTerm(t Term) termFn {
 }
 
 // Exec runs the compiled function. scratch is reused for the register
-// file when large enough (as in ExecReuse); the grown scratch is
+// file when large enough (as in Linked.Exec); the grown scratch is
 // returned. OpHalt terminates execution normally, matching the
-// interpreter's contract.
+// interpreter's contract, and the step budget (Env.MaxSteps) is counted
+// the interpreter's way and shared with every callee.
 func (c *Compiled) Exec(scratch []Value, params ...Value) (Value, []Value, error) {
-	v, _, scratch, err := c.execHalt(scratch, params)
-	return v, scratch, err
-}
-
-// execHalt is Exec distinguishing a halt from a plain return, so
-// compiled call sites can propagate it.
-func (c *Compiled) execHalt(scratch []Value, params []Value) (Value, bool, []Value, error) {
 	if cap(scratch) < c.numRegs {
 		scratch = make([]Value, c.numRegs)
 	}
-	regs := scratch[:c.numRegs]
-	for i := range regs {
-		regs[i] = None
+	budget := c.env.maxSteps()
+	v, err := c.run(scratch[:c.numRegs], params, &budget)
+	if errors.Is(err, ErrHalted) {
+		return None, scratch, nil
 	}
+	return v, scratch, err
+}
+
+// run executes c on regs, charging budget; it returns ErrHalted when
+// OpHalt ran, so compiled call sites can propagate the halt.
+func (c *Compiled) run(regs, params []Value, budget *int) (Value, error) {
+	clear(regs)
 	copy(regs, params)
-	budget := defaultMaxSteps
-	f := &frame{regs: regs, budget: &budget}
+	f := &frame{regs: regs, budget: budget}
 	bid := Entry
 	for {
 		steps := c.blocks[bid]
-		budget -= len(steps) + 1
-		if budget <= 0 {
-			return None, false, scratch, ErrStepLimit
+		if *budget -= len(steps) + 1; *budget <= 0 {
+			return None, ErrStepLimit
 		}
 		for _, step := range steps {
 			if err := step(f); err != nil {
 				if errors.Is(err, ErrHalted) {
-					return None, true, scratch, nil
+					return None, ErrHalted
 				}
-				return None, false, scratch, fmt.Errorf("%s: %w", c.name, err)
+				return None, fmt.Errorf("%s: %w", c.name, err)
 			}
 		}
 		next, ret, done, err := c.terms[bid](f)
 		if err != nil {
-			return None, false, scratch, err
+			return None, err
 		}
 		if done {
-			return ret, false, scratch, nil
+			return ret, nil
 		}
 		bid = next
 	}

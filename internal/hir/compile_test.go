@@ -2,6 +2,7 @@ package hir
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -229,9 +230,25 @@ func genCompileProgram(seed int64) *Function {
 			case 4:
 				b.Store(cells[rng.Intn(2)], pick())
 			case 5:
-				regs = append(regs, b.Call("mix", pick(), pick()))
+				args := make([]Reg, 1+rng.Intn(3))
+				for j := range args {
+					args[j] = pick()
+				}
+				regs = append(regs, b.Call("mix", args...))
 			case 6:
-				b.Raise("E", []string{"v"}, []Reg{pick()})
+				names := []string{"v0", "v1", "v2"}[:1+rng.Intn(3)]
+				args := make([]Reg, len(names))
+				for j := range args {
+					args[j] = pick()
+				}
+				switch rng.Intn(3) {
+				case 0:
+					b.Raise("E", names, args)
+				case 1:
+					b.RaiseAsync("E", names, args)
+				default:
+					b.RaiseAfter(5, "E", names, args)
+				}
 			case 7:
 				if rng.Intn(2) == 0 {
 					b.Halt()
@@ -284,11 +301,23 @@ func TestQuickCompileMatchesInterp(t *testing.T) {
 					return None, false
 				},
 				BindArgs: func(n string) (Value, bool) { return StrVal("kk"), true },
-				Intrinsics: map[string]Intrinsic{
-					"mix": {Pure: true, Fn: func(a []Value) Value { return IntVal(a[0].Int()*31 ^ a[1].Int()) }},
-				},
-				Raise: func(name string, async bool, delay int64, args []NamedValue) {
-					raises = append(raises, name+"="+args[0].Val.String())
+				LinkIntrinsic: slots(map[string]Intrinsic{
+					"mix": {Pure: true, Fn: func(a []Value) Value {
+						h := int64(17)
+						for _, v := range a {
+							h = h*31 ^ v.Int()
+						}
+						return IntVal(h)
+					}},
+				}),
+				LinkRaise: func(site RaiseSite) func([]Value) {
+					return func(args []Value) {
+						r := fmt.Sprintf("%s async=%v delay=%d", site.Event, site.Async, site.Delay)
+						for i, v := range args {
+							r += " " + site.Names[i] + "=" + v.String()
+						}
+						raises = append(raises, r)
+					}
 				},
 				Halt: func() { halted = true },
 			}
@@ -335,5 +364,44 @@ func TestQuickCompileMatchesInterp(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStepBudgetMatchesAcrossTiers: both tiers honour Env.MaxSteps,
+// charge every instruction and terminator, and share one budget with
+// their callees. spin calls tick forever; an iteration costs 2 steps in
+// spin (callfn + jump) and 5 in tick (4 instructions + return), so a
+// budget of 1000 completes 142 iterations (1000 - 7*142 = 6 left, too few
+// for tick's block in the next one).
+func TestStepBudgetMatchesAcrossTiers(t *testing.T) {
+	tb := NewBuilder("tick", 0)
+	tb.Store("n", tb.Bin(Add, tb.Load("n"), tb.Int(1)))
+	tb.Return(NoReg)
+	tick := tb.Fn()
+	sb := NewBuilder("spin", 0)
+	sb.CallFn("tick")
+	sb.Jump(Entry)
+	spin := sb.Fn()
+
+	tiers := map[string]func(*Env) error{
+		"interp": func(env *Env) error { _, err := Exec(spin, env); return err },
+		"compiled": func(env *Env) error {
+			c, err := Compile(spin, env)
+			if err != nil {
+				return err
+			}
+			_, _, err = c.Exec(nil)
+			return err
+		},
+	}
+	for name, run := range tiers {
+		st := NewState()
+		err := run(&Env{Globals: st, Funcs: map[string]*Function{"tick": tick}, MaxSteps: 1000})
+		if !errors.Is(err, ErrStepLimit) {
+			t.Errorf("%s: err = %v, want ErrStepLimit", name, err)
+		}
+		if got := st.Get("n").Int(); got != 142 {
+			t.Errorf("%s: %d iterations under MaxSteps 1000, want 142", name, got)
+		}
 	}
 }

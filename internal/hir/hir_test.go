@@ -188,9 +188,9 @@ func TestExecIntrinsics(t *testing.T) {
 	d := b.Call("double", x)
 	b.Return(d)
 	fn := b.Fn()
-	env := &Env{Intrinsics: map[string]Intrinsic{
+	env := &Env{LinkIntrinsic: slots(map[string]Intrinsic{
 		"double": {Fn: func(a []Value) Value { return IntVal(a[0].Int() * 2) }, Pure: true},
-	}}
+	})}
 	got, err := Exec(fn, env)
 	if err != nil || got.Int() != 6 {
 		t.Fatalf("got %v, %v", got, err)
@@ -238,12 +238,14 @@ func TestExecRaiseCallback(t *testing.T) {
 		n     int64
 	}
 	var calls []call
-	env := &Env{Raise: func(name string, async bool, delay int64, args []NamedValue) {
-		c := call{name: name, async: async, delay: delay}
-		if len(args) > 0 {
-			c.n = args[0].Val.Int()
+	env := &Env{LinkRaise: func(site RaiseSite) func([]Value) {
+		return func(args []Value) {
+			c := call{name: site.Event, async: site.Async, delay: site.Delay}
+			if len(args) > 0 {
+				c.n = args[0].Int()
+			}
+			calls = append(calls, c)
 		}
-		calls = append(calls, c)
 	}}
 	if _, err := Exec(fn, env); err != nil {
 		t.Fatal(err)
@@ -566,5 +568,16 @@ func TestValueKeyDistinguishesKinds(t *testing.T) {
 	// Same bytes, same key.
 	if BytesVal([]byte{9}).key() != BytesVal([]byte{9}).key() {
 		t.Error("equal byte values must share a key")
+	}
+}
+
+// slots serves a fixed intrinsic table through Env.LinkIntrinsic.
+func slots(table map[string]Intrinsic) func(string) *IntrinsicSlot {
+	return func(name string) *IntrinsicSlot {
+		s := new(IntrinsicSlot)
+		if in, ok := table[name]; ok {
+			s.Store(in)
+		}
+		return s
 	}
 }

@@ -557,17 +557,22 @@ func genProgram(seed int64) *hir.Function {
 	return b.Fn()
 }
 
+type namedValue struct {
+	Name string
+	Val  hir.Value
+}
+
 type runResult struct {
 	ret    hir.Value
 	state  map[string]hir.Value
-	raises []hir.NamedValue
+	raises []namedValue
 	err    error
 }
 
 func run(fn *hir.Function) runResult {
 	st := hir.NewState()
 	st.Set("c0", hir.IntVal(11))
-	var raises []hir.NamedValue
+	var raises []namedValue
 	env := &hir.Env{
 		Globals: st,
 		Args: func(n string) (hir.Value, bool) {
@@ -579,8 +584,12 @@ func run(fn *hir.Function) runResult {
 			}
 			return hir.None, false
 		},
-		Raise: func(name string, async bool, delay int64, args []hir.NamedValue) {
-			raises = append(raises, args...)
+		LinkRaise: func(site hir.RaiseSite) func([]hir.Value) {
+			return func(args []hir.Value) {
+				for i, v := range args {
+					raises = append(raises, namedValue{Name: site.Names[i], Val: v})
+				}
+			}
 		},
 	}
 	ret, err := hir.Exec(fn, env)

@@ -52,9 +52,9 @@ b2:
 	env := &Env{
 		Globals: st,
 		Args:    func(string) (Value, bool) { return IntVal(37), true },
-		Intrinsics: map[string]Intrinsic{
+		LinkIntrinsic: slots(map[string]Intrinsic{
 			"mix": {Pure: true, Fn: func(a []Value) Value { return IntVal(a[0].Int() ^ a[1].Int()) }},
-		},
+		}),
 	}
 	if _, err := Exec(fn, env); err != nil {
 		t.Fatal(err)

@@ -12,8 +12,10 @@ import (
 func (m *Module) Intrinsic(name string) (hir.Intrinsic, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	in, ok := m.intrinsics[name]
-	return in, ok
+	if s, ok := m.intrinsics[name]; ok {
+		return s.Load()
+	}
+	return hir.Intrinsic{}, false
 }
 
 // ArgValue reads a named activation argument as an HIR value (None when

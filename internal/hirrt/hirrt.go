@@ -63,9 +63,8 @@ type Module struct {
 	Globals *hir.State
 
 	mu         sync.Mutex
-	intrinsics map[string]hir.Intrinsic
+	intrinsics map[string]*hir.IntrinsicSlot // empty slots: linked, not yet registered
 	funcs      map[string]*hir.Function
-	evCache    map[string]event.ID
 }
 
 // NewModule creates an empty module over sys.
@@ -73,21 +72,33 @@ func NewModule(sys *event.System) *Module {
 	return &Module{
 		Sys:        sys,
 		Globals:    hir.NewState(),
-		intrinsics: make(map[string]hir.Intrinsic),
+		intrinsics: make(map[string]*hir.IntrinsicSlot),
 		funcs:      make(map[string]*hir.Function),
-		evCache:    make(map[string]event.ID),
 	}
 }
 
+// slot returns the stable slot of a named intrinsic, creating an empty
+// one if needed. The caller holds m.mu.
+func (m *Module) slot(name string) *hir.IntrinsicSlot {
+	s, ok := m.intrinsics[name]
+	if !ok {
+		s = new(hir.IntrinsicSlot)
+		m.intrinsics[name] = s
+	}
+	return s
+}
+
 // RegisterIntrinsic exposes a host function to HIR code. Pure intrinsics
-// are eligible for folding, CSE and DCE.
+// are eligible for folding, CSE and DCE. Interpreted bodies linked
+// before the registration find the intrinsic on their next call.
 func (m *Module) RegisterIntrinsic(name string, pure bool, fn func(args []hir.Value) hir.Value) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.intrinsics[name] = hir.Intrinsic{Fn: fn, Pure: pure}
+	m.slot(name).Store(hir.Intrinsic{Fn: fn, Pure: pure})
 }
 
-// RegisterFunc exposes an HIR helper function (OpCallFn target).
+// RegisterFunc exposes an HIR helper function (OpCallFn target). Bodies
+// link their helpers when they are bound, so register helpers first.
 func (m *Module) RegisterFunc(fn *hir.Function) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -96,19 +107,24 @@ func (m *Module) RegisterFunc(fn *hir.Function) {
 
 // WrapIntrinsic replaces a registered intrinsic with wrap(old), reporting
 // whether the name existed. Interpreter-executed handlers (including
-// fused bodies already installed) observe the wrapper immediately, since
-// they resolve intrinsics through the module map at execution time;
-// closure-compiled bodies resolve at compile time, so wrap before
-// optimizing when those must be covered. The fault-injection harness
-// uses this to interpose panic/error injection on intrinsic call sites.
+// fused bodies already installed) see the wrapper on their next call:
+// their call sites are linked to the intrinsic's slot, which the wrap
+// updates in place. Closure-compiled and generated bodies copy the
+// intrinsic when they are built, so wrap before optimizing when those
+// must be covered. The fault-injection harness uses this to interpose
+// panic/error injection on intrinsic call sites.
 func (m *Module) WrapIntrinsic(name string, wrap func(hir.Intrinsic) hir.Intrinsic) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	in, ok := m.intrinsics[name]
+	s, ok := m.intrinsics[name]
 	if !ok {
 		return false
 	}
-	m.intrinsics[name] = wrap(in)
+	in, ok := s.Load()
+	if !ok {
+		return false
+	}
+	s.Store(wrap(in))
 	return true
 }
 
@@ -120,30 +136,15 @@ func (m *Module) OptInfo() *opt.Info {
 		Intrinsics: make(map[string]hir.Intrinsic, len(m.intrinsics)),
 		Funcs:      make(map[string]*hir.Function, len(m.funcs)),
 	}
-	for k, v := range m.intrinsics {
-		info.Intrinsics[k] = v
+	for k, s := range m.intrinsics {
+		if v, ok := s.Load(); ok {
+			info.Intrinsics[k] = v
+		}
 	}
 	for k, v := range m.funcs {
 		info.Funcs[k] = v
 	}
 	return info
-}
-
-// eventID resolves (and caches) an event name.
-func (m *Module) eventID(name string) event.ID {
-	m.mu.Lock()
-	if id, ok := m.evCache[name]; ok {
-		m.mu.Unlock()
-		return id
-	}
-	m.mu.Unlock()
-	id := m.Sys.Lookup(name)
-	if id != event.NoID {
-		m.mu.Lock()
-		m.evCache[name] = id
-		m.mu.Unlock()
-	}
-	return id
 }
 
 // Env builds a fresh HIR execution environment for one activation
@@ -162,8 +163,7 @@ func (m *Module) Env(ctx *event.Ctx) *hir.Env {
 // activations nest correctly.
 func (m *Module) newEnv() (*hir.Env, func(*event.Ctx) *event.Ctx) {
 	var cur *event.Ctx
-	raiseIDs := make(map[string]event.ID) // filled lazily; runs under the runtime's atomicity lock
-	var eargs []event.Arg                 // scratch argument record, reused across raises
+	var eargs []event.Arg // scratch argument record, reused across raises
 	env := &hir.Env{
 		Args: func(n string) (hir.Value, bool) {
 			v, ok := cur.Args.Lookup(n)
@@ -179,33 +179,39 @@ func (m *Module) newEnv() (*hir.Env, func(*event.Ctx) *event.Ctx) {
 			}
 			return ToValue(v), true
 		},
-		Globals:    m.Globals,
-		Intrinsics: m.intrinsics,
-		Funcs:      m.funcs,
-		Raise: func(name string, async bool, delay int64, args []hir.NamedValue) {
-			id, ok := raiseIDs[name]
-			if !ok {
-				id = m.eventID(name)
-				raiseIDs[name] = id
-			}
-			if id == event.NoID {
-				return // unknown events are ignored, like the runtime does
-			}
-			// Every raise entry point marshals its arguments before any
-			// handler runs (inline copy, clone, or timer-entry clone), so
-			// one scratch record serves all raises from this environment,
-			// including reentrant ones.
-			eargs = eargs[:0]
-			for _, a := range args {
-				eargs = append(eargs, event.Arg{Name: a.Name, Val: FromValue(a.Val)})
-			}
-			switch {
-			case delay > 0:
-				cur.RaiseAfter(event.Duration(delay), id, eargs...)
-			case async:
-				cur.RaiseAsync(id, eargs...)
-			default:
-				cur.Raise(id, eargs...)
+		Globals: m.Globals,
+		LinkIntrinsic: func(name string) *hir.IntrinsicSlot {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			return m.slot(name)
+		},
+		Funcs: m.funcs,
+		LinkRaise: func(site hir.RaiseSite) func([]hir.Value) {
+			id := m.Sys.Lookup(site.Event)
+			return func(args []hir.Value) {
+				if id == event.NoID {
+					// Unknown events are ignored, like the runtime does;
+					// one defined after linking is found from then on.
+					if id = m.Sys.Lookup(site.Event); id == event.NoID {
+						return
+					}
+				}
+				// Every raise entry point marshals its arguments before
+				// any handler runs (inline copy, clone, or timer-entry
+				// clone), so one scratch record serves all raises from
+				// this environment, including reentrant ones.
+				eargs = eargs[:0]
+				for i, v := range args {
+					eargs = append(eargs, event.Arg{Name: site.Names[i], Val: FromValue(v)})
+				}
+				switch {
+				case site.Delay > 0:
+					cur.RaiseAfter(event.Duration(site.Delay), id, eargs...)
+				case site.Async:
+					cur.RaiseAsync(id, eargs...)
+				default:
+					cur.Raise(id, eargs...)
+				}
 			}
 		},
 		Halt: func() { cur.Halt() },
@@ -217,15 +223,24 @@ func (m *Module) newEnv() (*hir.Env, func(*event.Ctx) *event.Ctx) {
 	}
 }
 
-// HandlerFunc adapts an HIR body into an event handler. The environment
-// and register file are reused across activations (handler execution is
-// serialized by the runtime's atomicity lock), so steady-state dispatch
-// does not allocate. Execution errors (which indicate bugs in the
-// handler code, such as division by zero) panic, matching how a native
-// handler bug would surface.
+// HandlerFunc adapts an HIR body into an event handler. The body is
+// linked once, here, against the module: its state cells, intrinsic
+// slots, helper functions and raise targets are resolved now rather than
+// per activation (intrinsics stay late-bound through their slots, see
+// WrapIntrinsic). The environment and the scratch of each nesting depth
+// (register file plus call and raise argument area) are reused across
+// activations (handler execution is serialized by the runtime's
+// atomicity lock), so steady-state dispatch does not allocate.
+// Execution errors (which indicate bugs in the handler code, such as
+// division by zero) panic, matching how a native handler bug would
+// surface.
 func (m *Module) HandlerFunc(body *hir.Function) event.HandlerFunc {
 	env, setCtx := m.newEnv()
-	var scratch [][]hir.Value // one register file per live nesting depth
+	lk, err := hir.Link(body, env)
+	if err != nil {
+		return func(*event.Ctx) { panic(fmt.Sprintf("hirrt: handler %s: %v", body.Name, err)) }
+	}
+	var scratch [][]hir.Value // one scratch per live nesting depth
 	depth := 0
 	return func(ctx *event.Ctx) {
 		d := depth
@@ -240,12 +255,12 @@ func (m *Module) HandlerFunc(body *hir.Function) event.HandlerFunc {
 			depth = d
 		}()
 		if d == len(scratch) {
-			// First activation at this depth: the reentrant register file
-			// is allocated once and reused by every later reentry.
+			// First activation at this depth: the reentrant scratch is
+			// allocated once and reused by every later reentry.
 			scratch = append(scratch, nil)
 		}
 		var err error
-		_, scratch[d], err = hir.ExecReuse(body, env, scratch[d])
+		_, scratch[d], err = lk.Exec(scratch[d])
 		if err != nil {
 			panic(fmt.Sprintf("hirrt: handler %s: %v", body.Name, err))
 		}
