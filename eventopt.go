@@ -213,11 +213,11 @@ func WithAdaptiveOptimizer(p AdaptivePolicy) SystemOption {
 // different domains execute in parallel under System.Run.
 func WithDomains(n int) SystemOption { return event.WithDomains(n) }
 
-// WithBatchDrain makes domain run loops (System.Run and
-// System.DrainBatched) pop up to k runnable activations per queue-lock
-// acquisition, hoisting fast-path guard resolution across consecutive
-// activations of the same event. Step and Drain stay strictly
-// single-step. k < 2 leaves draining unbatched.
+// WithBatchDrain makes the domain run loops of System.Run pop up to k
+// runnable activations per queue-lock acquisition; each popped
+// activation then runs exactly as it would alone. Step and Drain stay
+// strictly single-step, and System.DrainBatched takes its batch size
+// from its argument. k < 2 leaves draining unbatched.
 func WithBatchDrain(k int) SystemOption { return event.WithBatchDrain(k) }
 
 // App is one event-based application: a runtime plus its HIR module and

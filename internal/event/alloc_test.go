@@ -106,6 +106,61 @@ func TestAllocRegression(t *testing.T) {
 		}
 	})
 
+	t.Run("ObservedBatchedDrain", func(t *testing.T) {
+		// The pipeline_burst configuration: a raise burst drained in
+		// batches of 8 with telemetry and span tracing both sampling every
+		// activation. Each batched activation takes the same observed
+		// dispatch as a stepped one, and none of it may allocate.
+		s := New(
+			WithTelemetry(telemetry.Config{SampleEvery: 1, TimeSampleEvery: 1}),
+			WithSpanTracing(span.Config{SampleEvery: 1}),
+		)
+		ev := s.Define("hot")
+		sink := 0
+		s.Bind(ev, "h", func(ctx *Ctx) { sink += ctx.Args.Int("n") })
+		for i := 0; i < 8; i++ {
+			s.RaiseAsync(ev, args...)
+		}
+		s.DrainBatched(8)
+		if got := testing.AllocsPerRun(200, func() {
+			for i := 0; i < 8; i++ {
+				s.RaiseAsync(ev, args...)
+			}
+			s.DrainBatched(8)
+		}); got != 0 {
+			t.Errorf("observed batched drain of 8: %.1f allocs/op, want 0", got)
+		}
+		if st := s.Spans().Stats(); st.Spans == 0 {
+			t.Fatal("no spans recorded; the gate measured the wrong path")
+		}
+	})
+
+	t.Run("ObservedCrossDomainContinuation", func(t *testing.T) {
+		// The pipeline_rpc configuration: a head on domain 0 whose
+		// interior async raise is captured into domain 1's continuation
+		// FIFO, with telemetry and span tracing on. Capture, pop and the
+		// continuation's observed dispatch reuse pooled records and the
+		// FIFO's backing array.
+		s := New(
+			WithDomains(2),
+			WithTelemetry(telemetry.Config{}),
+			WithSpanTracing(span.Config{SampleEvery: 1}),
+		)
+		head, _, _ := pipelineSH(t, s)
+		one := []Arg{{Name: "n", Val: 1}}
+		_ = s.Raise(head, one...)
+		s.Drain()
+		if got := testing.AllocsPerRun(200, func() {
+			_ = s.Raise(head, one...)
+			s.Drain()
+		}); got != 0 {
+			t.Errorf("observed cross-domain continuation: %.1f allocs/op, want 0", got)
+		}
+		if n := s.StatsAggregate().XDomainHandoffs; n == 0 {
+			t.Fatal("nothing captured across domains; the gate measured the wrong path")
+		}
+	})
+
 	t.Run("CoalescedAsyncRaise", func(t *testing.T) {
 		// A speculatively coalesced async raise (capture + continuation
 		// step) stays within the async path's one-object budget; steady

@@ -1,54 +1,47 @@
 package event
 
-import (
-	"eventopt/internal/span"
-	"eventopt/internal/telemetry"
-)
+import "eventopt/internal/span"
 
-// Speculative coalescing of asynchronous chain raises (the paper's §5
+// Speculative capture of asynchronous chain raises (the paper's §5
 // future work): when a merged handler asynchronously raises an event
 // that is a covered async-entry segment of its own super-handler, and
-// the target is this same domain with nothing ahead of it in line, the
-// raise is captured as a pending *continuation* instead of travelling
-// the enqueue/wake/pop route. The continuation still runs as its own
-// top-level activation — handler atomicity, tracing depth and the
-// serialized-activation discipline are unchanged — but it executes
-// directly through the merged segment, skipping the generic
-// marshal/lookup/indirect-call sequence and the queue handoff.
+// the domain that owns the event has nothing ahead of it in line, the
+// raise is captured as a pending *continuation* in that domain's
+// continuation FIFO instead of travelling the enqueue/wake/pop route.
+// The continuation still runs as its own top-level activation, in the
+// domain that owns the event — handler atomicity, domain affinity,
+// tracing depth and the serialized-activation discipline are unchanged
+// — but it executes directly through the merged segment, skipping the
+// generic marshal/lookup/indirect-call sequence and the ring.
 //
-// The capture guard (all under one queue-lock hold, so the decision is
-// atomic against producers):
+// There is one FIFO per domain and one guard, whichever domain raised
+// the event. Under the target domain's queue lock the capture requires:
 //
 //   - the raised event has a covered, non-entry segment marked
-//     AsyncEntry by the planner;
-//   - the segment guard (binding version) currently matches;
-//   - the owning domain's run queue is empty, no batched-drain
-//     remainder is in flight, no timer is due, and no cross-domain
-//     handoff is pending — otherwise the continuation would overtake
-//     work that the generic schedule runs first.
+//     AsyncEntry by the planner, whose guard (binding version) currently
+//     matches;
+//   - the target has no queue bound (a bounded queue prices admission,
+//     and a capture would bypass its overflow policy);
+//   - the target's run queue is empty, no batched-drain remainder is in
+//     flight and no timer is due — otherwise the continuation would
+//     overtake work that the generic schedule runs first.
 //
-// When the segment's event is owned by the raising domain the capture
-// lands in the domain's cont list as before. When it is owned by a
-// *different* domain — an async pipeline whose stages are pinned to
-// different shards — the continuation is published into the target
-// domain's single handoff slot instead (one CAS while holding the
-// target's queue lock), so each pipeline link skips the ring
-// enqueue/wake/pop handoff while still executing in the domain that
-// owns the event; handler atomicity and domain affinity are unchanged.
-// The cross-domain guard additionally requires the target's cont list
-// and handoff slot to be empty: the slot stands for the head of the
-// target's (empty) queue, and a pending same-domain continuation is
-// already ahead of anything a remote raise could add.
+// The FIFO is popped before the queue and only appended to while the
+// queue is empty, so FIFO ++ queue always equals the generic queue: a
+// captured continuation is exactly what the generic queue would have
+// held at that position, and later enqueues land behind it on both
+// routes. Any guard failure falls back to a real enqueue on the target.
+// The segment guard is re-checked when the continuation runs; a rebind
+// that raced the pending continuation drops it into the original
+// unoptimized code for just that event (the same per-segment fallback
+// as Fig. 14).
 //
-// Any guard failure falls back to a real enqueue, so the observable
-// order equals the generic one: a captured continuation is exactly what
-// the generic queue head would have been, and later enqueues land
-// behind it on both routes. The guard is re-checked when the
-// continuation runs; a rebind that raced the pending continuation drops
-// it into the original unoptimized code for just that event (the same
-// per-segment fallback as Fig. 14).
+// A capture into the raising domain counts as Coalesced (SchedCoalesce,
+// span.KindCoalesced); one into another domain counts as XDomainHandoffs
+// (SchedHandoff, span.KindHandoff). The fallbacks are counted the same
+// way, all credited to the raising domain.
 
-// dispatchNestedAsync attempts to coalesce an asynchronous raise of ev
+// dispatchNestedAsync attempts to capture an asynchronous raise of ev
 // from inside a merged handler. It reports whether it consumed the
 // raise (captured a continuation or fell back to enqueueing itself);
 // false means the caller must take the normal enqueue path.
@@ -65,10 +58,12 @@ func (ce *chainExec) dispatchNestedAsync(c *Ctx, ev ID, args []Arg) bool {
 		d.stats.CoalesceFallbacks.Add(1)
 		return false
 	}
-	if t := s.domains[sh.recs[idx].dom.Load()]; t != d {
-		// The segment's event is pinned to another domain: hand the
-		// continuation off into that domain's slot (or its queue).
-		return ce.handoffCross(t, sh, idx, ev, args)
+	t := s.domains[sh.recs[idx].dom.Load()]
+	captured, fellBack := &d.stats.Coalesced, &d.stats.CoalesceFallbacks
+	point, kind := SchedCoalesce, span.KindCoalesced
+	if t != d {
+		captured, fellBack = &d.stats.XDomainHandoffs, &d.stats.XDomainFallbacks
+		point, kind = SchedHandoff, span.KindHandoff
 	}
 	a := s.getAct()
 	a.ev, a.mode = ev, Async
@@ -76,64 +71,14 @@ func (ce *chainExec) dispatchNestedAsync(c *Ctx, ev ID, args []Arg) bool {
 	if s.spans != nil && d.curTrace != 0 {
 		// Stamp the raising span's context: the continuation (or the
 		// fallback enqueue) records a child span either way.
-		a.trace, a.pspan, a.skind = d.curTrace, d.curSpan, uint8(span.KindCoalesced)
-	}
-	d.qmu.Lock()
-	if d.q.len() > 0 || d.batchRem.Load() > 0 || d.handoff.Load() != nil || d.dueTimerLocked(s.clock.Now()) {
-		// Pending work would be overtaken (or a bounded queue is under
-		// pressure): fall back to a real enqueue behind it. batchRem covers
-		// activations a batched drain has popped but not yet run — they are
-		// no longer in the queue, yet still ahead of this raise in program
-		// order, so the raise must land behind them.
-		d.qmu.Unlock()
-		d.stats.CoalesceFallbacks.Add(1)
-		a.skind = uint8(span.KindAsync) // it travels the queue after all
-		if s.tel != nil {
-			a.enqAt, a.enqSet = s.clock.Now(), true
-		}
-		d.enqueueAct(a)
-		return true
-	}
-	a.csh, a.cidx = sh, idx
-	d.cont = append(d.cont, a)
-	d.qmu.Unlock()
-	d.stats.Coalesced.Add(1)
-	if h := s.sched; h != nil {
-		h.Sched(SchedCoalesce, d.idx, ev, sh.Segments[idx].Version)
-	}
-	// A sync Raise from outside the run loop can coalesce while the
-	// domain's loop is parked; wake it like an enqueue would.
-	d.nudge()
-	return true
-}
-
-// handoffCross captures an asynchronous raise of a covered async-entry
-// segment owned by another domain t into t's handoff slot, so a
-// cross-domain pipeline link merges into a continuation instead of
-// paying the ring enqueue/wake/pop. The guard runs under t's queue
-// lock: t must have nothing runnable or in flight (empty queue, no
-// batch remainder, no pending continuation or handoff, no due timer),
-// because the slot stands for the head of t's empty queue. A guard
-// failure enqueues the activation on t for real — the raise is consumed
-// either way, so the caller never falls through to the generic route.
-// The segment guard is re-checked when t runs the continuation.
-func (ce *chainExec) handoffCross(t *Domain, sh *SuperHandler, idx int, ev ID, args []Arg) bool {
-	d := ce.d
-	s := d.sys
-	a := s.getAct()
-	a.ev, a.mode = ev, Async
-	a.setArgs(args)
-	if s.spans != nil && d.curTrace != 0 {
-		a.trace, a.pspan, a.skind = d.curTrace, d.curSpan, uint8(span.KindHandoff)
+		a.trace, a.pspan, a.skind = d.curTrace, d.curSpan, uint8(kind)
 	}
 	t.qmu.Lock()
-	if t.q.len() > 0 || t.batchRem.Load() > 0 || len(t.cont) > t.contHead ||
-		t.handoff.Load() != nil || t.dueTimerLocked(s.clock.Now()) {
-		// The target has work ahead of this raise in the generic order
-		// (or another handoff already holds the slot): land behind it in
-		// the target's queue, like any remote producer.
+	if t.qcap > 0 || t.q.len() > 0 || t.batchRem.Load() > 0 || t.dueTimerLocked() {
+		// Pending work would be overtaken, or the queue is bounded: land
+		// behind it in the target's queue, like any producer.
 		t.qmu.Unlock()
-		d.stats.XDomainFallbacks.Add(1)
+		fellBack.Add(1)
 		a.skind = uint8(span.KindAsync) // it travels the queue after all
 		if s.tel != nil {
 			a.enqAt, a.enqSet = s.clock.Now(), true
@@ -142,119 +87,15 @@ func (ce *chainExec) handoffCross(t *Domain, sh *SuperHandler, idx int, ev ID, a
 		return true
 	}
 	a.csh, a.cidx = sh, idx
-	// Single-CAS publish under t's qmu: the lock makes the slot check and
-	// the publish one atomic decision against t's consumers and rival
-	// publishers, and the CAS keeps the slot a one-writer cell even if
-	// that invariant is ever violated.
-	if !t.handoff.CompareAndSwap(nil, a) {
-		t.qmu.Unlock()
-		d.stats.XDomainFallbacks.Add(1)
-		a.csh, a.cidx = nil, 0
-		a.skind = uint8(span.KindAsync)
-		if s.tel != nil {
-			a.enqAt, a.enqSet = s.clock.Now(), true
-		}
-		t.enqueueAct(a)
-		return true
+	t.cont = append(t.cont, a)
+	if h := s.sched; h != nil {
+		h.Sched(point, t.idx, ev, sh.Segments[idx].Version)
 	}
 	t.qmu.Unlock()
-	d.stats.XDomainHandoffs.Add(1)
-	if h := s.sched; h != nil {
-		h.Sched(SchedHandoff, t.idx, ev, sh.Segments[idx].Version)
-	}
+	captured.Add(1)
+	// A sync Raise from outside the run loop, or a chain on another
+	// domain, can capture while the target's loop is parked; wake it like
+	// an enqueue would.
 	t.nudge()
 	return true
-}
-
-// runCont executes one pending coalesced continuation popped from the
-// scheduler. Under the Propagate policy it dispatches directly through
-// the captured segment; under supervision it takes the full top-level
-// route so retry, quarantine and deopt-replay behave exactly as for an
-// enqueued activation.
-func (d *Domain) runCont(a *activation) {
-	s := d.sys
-	if s.policy() != Propagate {
-		d.runTop(a)
-		return
-	}
-	sh, idx := a.csh, a.cidx
-	kind := span.KindCoalesced
-	if a.skind == uint8(span.KindHandoff) {
-		kind = span.KindHandoff
-	}
-	func() {
-		// Deferred unlock for the same reason as runTop: a Propagate-policy
-		// panic unwinds through here.
-		d.runMu.Lock()
-		defer d.runMu.Unlock()
-		d.telAttempt = 0
-		s.dispatchSeg(d, sh, idx, a.ev, a.args(), a.trace, a.pspan, kind)
-	}()
-	s.putAct(a)
-}
-
-// dispatchSeg is the direct dispatch route of a coalesced continuation:
-// a top-level asynchronous activation of a covered event, executed
-// through its super-handler segment instead of the generic path. Caller
-// holds runMu and the policy is Propagate. The segment guard is
-// re-checked here; a mismatch falls back to the original code.
-// trace/pspan carry the raising span's context (zero when untraced) and
-// kind attributes the hop: KindCoalesced for a same-domain capture,
-// KindHandoff for a cross-domain one.
-func (s *System) dispatchSeg(d *Domain, sh *SuperHandler, idx int, ev ID, args []Arg, trace, pspan uint64, kind span.Kind) {
-	tel := s.tel
-	var start Duration
-	sampled := false
-	if tel != nil {
-		if sampled = tel.RecordDispatch(d.idx, int32(ev), false); sampled {
-			start = s.clock.Now()
-		}
-	}
-	snap := sh.recs[idx].snap.Load()
-	if snap.deleted {
-		// Matches the generic async route: the dispatch error of a deleted
-		// event is discarded before any counter moves.
-		return
-	}
-	col := s.spans
-	var spID uint64
-	var spStart Duration
-	if col != nil && trace != 0 {
-		spID = col.NextID(d.idx)
-		d.curTrace, d.curSpan = trace, spID
-		d.spanTier, d.spanFlags = 0, 0
-		spStart = s.clock.Now()
-	}
-	tracer := s.tracer()
-	d.stats.Raises.Add(1)
-	d.stats.AsyncRaises.Add(1)
-	if tracer != nil {
-		tracer.Event(ev, snap.name, Async, 0, d.idx)
-	}
-	if !sh.segMatches(idx) {
-		// A rebind raced the pending continuation.
-		d.stats.SegFallbacks.Add(1)
-		d.spanNoteFlags(span.FlagSegFallback)
-		d.generic(snap, ev, Async, args, 0, tracer)
-	} else {
-		d.stats.FastRuns.Add(1)
-		d.spanNoteTier(spanTierOf(sh))
-		ce := &d.slot(0).ce
-		*ce = chainExec{sh: sh, d: d, tracer: tracer, supervised: false}
-		ce.runSegment(idx, args, Async, 0)
-	}
-	if spID != 0 {
-		spEnd := s.clock.Now()
-		tier, flags := span.Tier(d.spanTier), span.Flags(d.spanFlags)
-		d.curTrace, d.curSpan = 0, 0
-		d.spanTier, d.spanFlags = 0, 0
-		d.lastSpanTrace, d.lastSpanID = trace, spID
-		col.Record(d.idx, trace, spID, pspan, int32(ev), kind, tier, flags, uint8(Async), int64(spStart), int64(spEnd))
-	}
-	if sampled {
-		end := s.clock.Now()
-		dur := int64(end - start)
-		tel.RecordLatency(d.idx, int32(ev), dur)
-		tel.RecordActivation(d.idx, int32(ev), uint8(Async), telemetry.OutcomeOK, 0, dur, int64(end), nil)
-	}
 }

@@ -369,3 +369,157 @@ func TestDrainBatchedEquivalent(t *testing.T) {
 		t.Fatalf("workload sum = %d, want 105", sumStep)
 	}
 }
+
+// installChain installs a two-segment super-handler head -> ~tail whose
+// tail segment is an async-entry capture candidate.
+func installChain(t *testing.T, s *System, head, tail ID, headFn, tailFn HandlerFunc) {
+	t.Helper()
+	sh := &SuperHandler{
+		Entry: head,
+		Segments: []Segment{
+			{Event: head, EventName: s.EventName(head), Version: s.Version(head),
+				Steps: []Step{{Event: head, EventName: s.EventName(head), Handler: "hh", Fn: headFn}}},
+			{Event: tail, EventName: s.EventName(tail), Version: s.Version(tail), AsyncEntry: true,
+				Steps: []Step{{Event: tail, EventName: s.EventName(tail), Handler: "ht", Fn: tailFn}}},
+		},
+	}
+	if err := s.InstallFastPath(sh); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCaptureRespectsQueueBound: a capture must not bypass a bounded
+// queue's overflow policy. A head handler raises a covered async-entry
+// tail five times against a queue bound of 2; the optimized run must
+// deliver the same tails and count the same drops as the generic one,
+// whether the tail lives on the head's domain or on another one.
+func TestCaptureRespectsQueueBound(t *testing.T) {
+	for _, doms := range []int{1, 2} {
+		for _, pol := range []OverflowPolicy{DropNewest, DropOldest, RejectNew} {
+			run := func(optimized bool) (sum int, st StatsSnapshot) {
+				s := New(WithDomains(doms), WithQueueBound(2, pol))
+				head := s.Define("head")
+				tail := s.Define("tail")
+				if err := s.PinEvent(tail, doms-1); err != nil {
+					t.Fatal(err)
+				}
+				headFn := func(ctx *Ctx) {
+					for n := 1; n <= 10000; n *= 10 {
+						ctx.RaiseAsync(tail, A("n", n))
+					}
+				}
+				tailFn := func(ctx *Ctx) { sum += ctx.Args.Int("n") }
+				s.Bind(head, "hh", headFn)
+				s.Bind(tail, "ht", tailFn)
+				if optimized {
+					installChain(t, s, head, tail, headFn, tailFn)
+				}
+				if err := s.Raise(head); err != nil {
+					t.Fatal(err)
+				}
+				s.Drain()
+				return sum, s.StatsAggregate()
+			}
+			gSum, gen := run(false)
+			oSum, opt := run(true)
+			if gen.QueueDrops != 3 {
+				t.Fatalf("%d domains, policy %d: generic dropped %d, want 3", doms, pol, gen.QueueDrops)
+			}
+			if oSum != gSum || opt.QueueDrops != gen.QueueDrops {
+				t.Errorf("%d domains, policy %d: optimized ran tails summing to %d with %d drops, generic %d with %d drops",
+					doms, pol, oSum, opt.QueueDrops, gSum, gen.QueueDrops)
+			}
+			if got := opt.CoalesceFallbacks + opt.XDomainFallbacks; got != 5 {
+				t.Errorf("%d domains, policy %d: %d capture fallbacks, want 5 (a bounded target never captures)", doms, pol, got)
+			}
+		}
+	}
+}
+
+// fifoPipeline builds the two-domain topology of the FIFO ordering
+// tests: head (domain 0) ~> tail (domain 1), and x ~> y both on domain 1,
+// plus a plain event z on domain 1. Every handler appends its event's
+// name to the returned log. With optimized set, both chains are
+// installed, so tail is a cross-domain capture and y a same-domain one.
+func fifoPipeline(t *testing.T, optimized bool) (s *System, head, x, z ID, log *[]string) {
+	s = New(WithDomains(2))
+	log = new([]string)
+	head, tail := s.Define("head"), s.Define("tail")
+	x = s.Define("x")
+	y := s.Define("y")
+	z = s.Define("z")
+	for ev, dom := range map[ID]int{head: 0, tail: 1, x: 1, y: 1, z: 1} {
+		if err := s.PinEvent(ev, dom); err != nil {
+			t.Fatal(err)
+		}
+	}
+	note := func(ctx *Ctx) { *log = append(*log, ctx.Name) }
+	headFn := func(ctx *Ctx) { note(ctx); ctx.RaiseAsync(tail) }
+	xFn := func(ctx *Ctx) { note(ctx); ctx.RaiseAsync(y) }
+	s.Bind(head, "hh", headFn)
+	s.Bind(tail, "ht", note)
+	s.Bind(x, "hh", xFn)
+	s.Bind(y, "ht", note)
+	s.Bind(z, "hz", note)
+	if optimized {
+		installChain(t, s, head, tail, headFn, note)
+		installChain(t, s, x, y, xFn, note)
+	}
+	return s, head, x, z, log
+}
+
+// checkFIFOOrder runs drive on the generic and the optimized pipeline and
+// requires the same handler order, with both captures taken.
+func checkFIFOOrder(t *testing.T, drive func(s *System, head, x, z ID)) {
+	t.Helper()
+	var logs [2][]string
+	var opt StatsSnapshot
+	for i, optimized := range []bool{false, true} {
+		s, head, x, z, log := fifoPipeline(t, optimized)
+		drive(s, head, x, z)
+		s.Drain()
+		logs[i] = *log
+		opt = s.StatsAggregate()
+	}
+	if len(logs[0]) != 5 || len(logs[1]) != len(logs[0]) {
+		t.Fatalf("generic ran %v, optimized ran %v", logs[0], logs[1])
+	}
+	for i := range logs[0] {
+		if logs[0][i] != logs[1][i] {
+			t.Fatalf("optimized order %v, generic order %v", logs[1], logs[0])
+		}
+	}
+	if opt.Coalesced != 1 || opt.XDomainHandoffs != 1 || opt.CoalesceFallbacks != 0 || opt.XDomainFallbacks != 0 {
+		t.Fatalf("want one same-domain and one cross-domain capture, got %+v", opt)
+	}
+}
+
+// TestFIFOSameDomainCaptureBehindPendingHandoff: a same-domain capture
+// made while a cross-domain capture is pending on the same domain joins
+// the FIFO behind it, and a later enqueue lands behind both.
+func TestFIFOSameDomainCaptureBehindPendingHandoff(t *testing.T) {
+	checkFIFOOrder(t, func(s *System, head, x, z ID) {
+		if err := s.Raise(head); err != nil { // tail captured into domain 1's FIFO
+			t.Fatal(err)
+		}
+		if err := s.Raise(x); err != nil { // y captured behind it
+			t.Fatal(err)
+		}
+		s.RaiseAsync(z)
+	})
+}
+
+// TestFIFOCrossDomainCaptureIntoNonEmptyFIFO: a cross-domain capture
+// into a domain whose FIFO already holds a same-domain continuation
+// joins the FIFO behind it.
+func TestFIFOCrossDomainCaptureIntoNonEmptyFIFO(t *testing.T) {
+	checkFIFOOrder(t, func(s *System, head, x, z ID) {
+		if err := s.Raise(x); err != nil { // y captured into domain 1's FIFO
+			t.Fatal(err)
+		}
+		if err := s.Raise(head); err != nil { // tail captured behind it
+			t.Fatal(err)
+		}
+		s.RaiseAsync(z)
+	})
+}

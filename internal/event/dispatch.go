@@ -1,6 +1,9 @@
 package event
 
-import "eventopt/internal/span"
+import (
+	"eventopt/internal/span"
+	"eventopt/internal/telemetry"
+)
 
 // Raise synchronously activates ev from outside any handler: all bound
 // handlers run to completion before Raise returns. It reports an error
@@ -15,7 +18,7 @@ func (s *System) Raise(ev ID, args ...Arg) error {
 	d.runMu.Lock()
 	defer d.runMu.Unlock()
 	d.telAttempt = 0
-	return s.dispatch(d, ev, Sync, args, 0)
+	return s.dispatch(d, ev, Sync, args, 0, nil, 0)
 }
 
 // RaiseByName is Raise keyed by event name.
@@ -36,14 +39,30 @@ func (s *System) RaiseAsync(ev ID, args ...Arg) {
 	s.enqueue(ev, Async, args)
 }
 
-// runTop executes one top-level activation record popped from the
-// domain's scheduler and releases it afterwards. a.attempt counts prior
-// executions of the same activation under the retry policy; an
-// activation that recovered at least one handler panic is handed to the
-// retry machinery once the atomicity lock is released. The retry path
-// clones the record's arguments into its timer entry, so the release
-// never exposes aliased storage.
+// runTop executes one activation record popped from the domain's
+// scheduler and releases it afterwards. It is the one top-level run
+// route: an internal timer callback fires in place of a dispatch, a
+// captured continuation dispatches through its segment under the
+// Propagate policy, and everything else — including continuations under
+// supervision, so retry, quarantine and deopt-replay behave exactly as
+// for an enqueued activation — takes the registry route. a.attempt
+// counts prior executions of the same activation under the retry
+// policy; an activation that recovered at least one handler panic is
+// handed to the retry machinery once the atomicity lock is released.
+// The retry path clones the record's arguments into its timer entry, so
+// the release never exposes aliased storage.
 func (d *Domain) runTop(a *activation) {
+	s := d.sys
+	if a.fire != nil {
+		fire := a.fire
+		s.putAct(a)
+		fire()
+		return
+	}
+	sh := a.csh
+	if s.policy() != Propagate {
+		sh = nil
+	}
 	var faults int
 	var ftrace, fspan uint64
 	func() {
@@ -55,10 +74,9 @@ func (d *Domain) runTop(a *activation) {
 		defer d.runMu.Unlock()
 		d.fault.activationFaults = 0
 		d.telAttempt = a.attempt
-		if d.sys.spans != nil {
-			d.pendTrace, d.pendSpan, d.pendKind = a.trace, a.pspan, a.skind
-		}
-		_ = d.sys.dispatch(d, a.ev, a.mode, a.args(), 0)
+		d.pendTrace, d.pendSpan, d.pendKind = a.trace, a.pspan, a.skind
+		d.lastSpanTrace = 0 // set again by a traced dispatch
+		_ = s.dispatch(d, a.ev, a.mode, a.args(), 0, sh, a.cidx)
 		faults = d.fault.activationFaults
 		d.fault.activationFaults = 0
 		if faults > 0 {
@@ -68,30 +86,7 @@ func (d *Domain) runTop(a *activation) {
 	if faults > 0 {
 		d.maybeRetry(a.ev, a.mode, a.args(), a.attempt, ftrace, fspan)
 	}
-	d.sys.putAct(a)
-}
-
-// runTopResolved is runTop with the registry resolution supplied by the
-// caller — the batched drain loop hoists it across consecutive
-// activations of the same event (domain.go runBatch). Telemetry-enabled
-// systems never take this route (the timed wrapper re-resolves).
-func (d *Domain) runTopResolved(a *activation, r *eventRec, snap *bindingSnapshot, fast *SuperHandler) {
-	var faults int
-	func() {
-		d.runMu.Lock()
-		defer d.runMu.Unlock()
-		d.fault.activationFaults = 0
-		d.telAttempt = a.attempt
-		_ = d.sys.dispatchResolved(d, a.ev, a.mode, a.args(), 0, r, snap, fast)
-		faults = d.fault.activationFaults
-		d.fault.activationFaults = 0
-	}()
-	if faults > 0 {
-		// This route runs only with spans (and telemetry) off, so there is
-		// no span context to thread into the retry.
-		d.maybeRetry(a.ev, a.mode, a.args(), a.attempt, 0, 0)
-	}
-	d.sys.putAct(a)
+	s.putAct(a)
 }
 
 // raiseNested executes a synchronous activation from inside a handler.
@@ -99,7 +94,7 @@ func (d *Domain) runTopResolved(a *activation, r *eventRec, snap *bindingSnapsho
 // enclosing top-level dispatch; the nested activation runs inline in
 // that domain regardless of the event's own affinity.
 func (s *System) raiseNested(parent *Ctx, ev ID, args []Arg) {
-	if err := s.dispatch(parent.dom, ev, Sync, args, parent.depth+1); err != nil {
+	if err := s.dispatch(parent.dom, ev, Sync, args, parent.depth+1, nil, 0); err != nil {
 		s.report(err)
 	}
 }
@@ -110,35 +105,125 @@ func (s *System) report(err error) {
 	}
 }
 
-// dispatch routes one activation through the core dispatcher, detouring
-// through the span wrapper and/or the telemetry wrapper when those
-// observability layers are enabled (spans bracket the whole activation,
-// telemetry accounting included).
-func (s *System) dispatch(d *Domain, ev ID, mode Mode, args []Arg, depth int) error {
-	if s.spans != nil {
-		return s.dispatchSpanned(d, ev, mode, args, depth)
+// dispatch is the one observed dispatch of an activation of ev on
+// domain d at nesting depth depth: top-level raises and popped records,
+// nested raises, continuations and subsumed synchronous raises all pass
+// through it. sh (with segment index idx) selects the segment route of
+// a continuation (depth 0) or a subsumed raise (depth > 0); nil selects
+// the registry route. With telemetry and spans off, the observation
+// bracket costs one branch.
+//
+// The bracket opens a span when the activation belongs to a sampled
+// trace — a nested raise inherits the domain's open span, a top-level
+// one the context stamped on its record (pend*, set by runTop) or, for
+// a registry-route raise that carries none, the root-sampling draw —
+// and, inside the span, feeds telemetry: the continuous graph, the
+// latency histogram for the hashed 1-in-TimeSampleEvery draw and, at
+// top level, a flight-recorder record with the activation's outcome.
+// Faulted activations are recorded in the flight ring regardless of the
+// draw (with Duration 0 when unsampled), and any dump the activation's
+// faults requested is taken last, so the ring already contains the
+// faulted activation when it is captured.
+//
+// The brackets are straight-line rather than deferred: under the
+// Propagate policy a handler panic unwinds through the raise and that
+// activation goes unrecorded, which is acceptable — the flight recorder
+// earns its keep under supervision, where panics are recovered.
+func (s *System) dispatch(d *Domain, ev ID, mode Mode, args []Arg, depth int, sh *SuperHandler, idx int) error {
+	if !s.observed {
+		return s.route(d, ev, mode, args, depth, sh, idx)
 	}
-	return s.dispatchObserved(d, ev, mode, args, depth)
+	col, tel, df := s.spans, s.tel, &d.fault
+	var trace, parent, id uint64
+	var kind span.Kind
+	var spStart Duration
+	var prevTrace, prevSpan uint64
+	var prevTier, prevFlags uint8
+	traced := false
+	if col != nil {
+		if trace, parent, kind, traced = d.spanContext(depth, sh == nil); traced {
+			id = col.NextID(d.idx)
+			if trace == 0 {
+				trace = id
+			}
+			// The tier/flag scratch is saved and zeroed around the inner
+			// dispatch so the attribution points credit the innermost
+			// open span only.
+			prevTrace, prevSpan, prevTier, prevFlags = d.curTrace, d.curSpan, d.spanTier, d.spanFlags
+			d.curTrace, d.curSpan, d.spanTier, d.spanFlags = trace, id, 0, 0
+			spStart = s.clock.Now()
+		}
+	}
+	faultsBefore := df.activationFaults
+	sampled := false
+	var start Duration
+	if tel != nil {
+		sampled = tel.RecordDispatch(d.idx, int32(ev), mode == Sync)
+		if depth == 0 && df.lastCause != nil { // conditional: skip the write barrier on the common path
+			df.lastCause = nil
+		}
+		if sampled {
+			start = s.clock.Now()
+		}
+	}
+	err := s.route(d, ev, mode, args, depth, sh, idx)
+	faulted := df.activationFaults > faultsBefore
+	if tel != nil && (sampled || depth == 0) {
+		var end Duration
+		var dur int64
+		if sampled || faulted {
+			end = s.clock.Now()
+		}
+		if sampled {
+			dur = int64(end - start)
+			tel.RecordLatency(d.idx, int32(ev), dur)
+		}
+		if depth == 0 && (sampled || faulted) {
+			outcome := telemetry.OutcomeOK
+			var cause *string
+			if faulted {
+				outcome, cause = telemetry.OutcomeFault, df.lastCause
+			}
+			tel.RecordActivation(d.idx, int32(ev), uint8(mode), outcome, d.telAttempt, dur, int64(end), cause)
+		}
+		if depth == 0 && d.telDumpReason != "" {
+			reason := d.telDumpReason
+			d.telDumpReason = ""
+			tel.DumpFlight(d.idx, reason)
+		}
+	}
+	if traced {
+		end := s.clock.Now()
+		tier, flags := span.Tier(d.spanTier), span.Flags(d.spanFlags)
+		if faulted {
+			flags |= span.FlagFault
+		}
+		d.curTrace, d.curSpan, d.spanTier, d.spanFlags = prevTrace, prevSpan, prevTier, prevFlags
+		if depth == 0 {
+			// Remembered across the runMu release so the retry machinery can
+			// parent a replay on the attempt that faulted.
+			d.lastSpanTrace, d.lastSpanID = trace, id
+		}
+		col.Record(d.idx, trace, id, parent, int32(ev), kind, tier, flags, uint8(mode), int64(spStart), int64(end))
+	}
+	return err
 }
 
-// dispatchCore routes one activation of ev executing on domain d: through
-// the installed fast path if one is present and its guard passes,
-// otherwise through the generic path. All registry reads — record,
-// binding snapshot, fast path, tracer — are single atomic loads; no
-// lock is taken (the paper's §2.2 registry-lock overhead survives only
-// as the modeled per-handler state-maintenance lock).
-func (s *System) dispatchCore(d *Domain, ev ID, mode Mode, args []Arg, depth int) error {
-	r := s.recLF(ev)
-	if r == nil {
+// route is dispatch below the observation bracket. It resolves ev and
+// runs it through the segment sh[idx] when one is given, else through
+// the installed fast path if one is present and its guard passes, else
+// through the generic path. All registry reads — record, binding
+// snapshot, fast path, tracer — are single atomic loads; no lock is
+// taken (the paper's §2.2 registry-lock overhead survives only as the
+// modeled per-handler state-maintenance lock).
+func (s *System) route(d *Domain, ev ID, mode Mode, args []Arg, depth int, sh *SuperHandler, idx int) error {
+	var r *eventRec
+	if sh != nil {
+		r = sh.recs[idx]
+	} else if r = s.recLF(ev); r == nil {
 		return ErrUnknownEvent
 	}
-	return s.dispatchResolved(d, ev, mode, args, depth, r, r.snap.Load(), r.fast.Load())
-}
-
-// dispatchResolved is dispatchCore past registry resolution. The batched
-// drain loop calls it directly with a resolution hoisted across the
-// batch (domain.go runBatch); the guards below still run per activation.
-func (s *System) dispatchResolved(d *Domain, ev ID, mode Mode, args []Arg, depth int, r *eventRec, snap *bindingSnapshot, fast *SuperHandler) error {
+	snap := r.snap.Load()
 	if snap.deleted {
 		return ErrDeletedEvent
 	}
@@ -157,44 +242,57 @@ func (s *System) dispatchResolved(d *Domain, ev ID, mode Mode, args []Arg, depth
 		tracer.Event(ev, snap.name, mode, depth, d.idx)
 	}
 
-	if fast != nil {
+	if sh != nil {
+		// The segment guard is re-checked at dispatch time: a rebind may
+		// have raced the pending continuation, or a handler earlier in
+		// this very chain may have rebound ev. A stale guard falls back to
+		// the original code for just this event (Fig. 14).
+		if !sh.segMatches(idx) {
+			d.stats.SegFallbacks.Add(1)
+			d.spanNoteFlags(span.FlagSegFallback)
+			d.generic(snap, ev, mode, args, depth, tracer)
+			return nil
+		}
+		if depth == 0 {
+			// A continuation is a top-level activation of its own; a
+			// subsumed raise is part of its chain's fast run.
+			d.stats.FastRuns.Add(1)
+		}
+		d.spanNoteTier(sh)
+		d.slot(depth).ce.start(sh, d, tracer).runSegment(idx, args, mode, depth)
+		return nil
+	}
+
+	if fast := r.fast.Load(); fast != nil {
+		var ran, faulted bool
 		if s.policy() == Propagate {
-			if fast.run(d, mode, args, depth, tracer) {
-				d.stats.FastRuns.Add(1)
-				d.spanNoteTier(spanTierOf(fast))
-				if h := s.sched; h != nil {
-					h.Sched(SchedFastEntry, d.idx, ev, fast.Segments[0].Version)
-				}
-				return nil
+			ran = fast.run(d, mode, args, depth, tracer)
+		} else {
+			ran, faulted = d.runFastSupervised(fast, ev, snap.name, mode, args, depth, tracer)
+		}
+		switch {
+		case ran:
+			d.stats.FastRuns.Add(1)
+			d.spanNoteTier(fast)
+			if h := s.sched; h != nil {
+				h.Sched(SchedFastEntry, d.idx, ev, fast.Segments[0].Version)
 			}
+			return nil
+		case faulted:
+			// The optimized code itself faulted: extend the paper's
+			// fallback from "guard failed" to "fast path panicked" —
+			// atomically uninstall the entry and replay the whole
+			// activation through the original unoptimized code, against
+			// the freshest snapshot (the faulting chain may have rebound
+			// events before panicking).
+			s.deoptimize(d, fast)
+			d.spanNoteFlags(span.FlagDeoptReplay)
+			snap = r.snap.Load()
+		default:
 			// Guard failed: drop back into the original unoptimized code
 			// (paper section 3.3).
 			d.stats.Fallbacks.Add(1)
 			d.spanNoteFlags(span.FlagGuardFallback)
-		} else {
-			ran, faulted := d.runFastSupervised(fast, ev, snap.name, mode, args, depth, tracer)
-			if ran {
-				d.stats.FastRuns.Add(1)
-				d.spanNoteTier(spanTierOf(fast))
-				if h := s.sched; h != nil {
-					h.Sched(SchedFastEntry, d.idx, ev, fast.Segments[0].Version)
-				}
-				return nil
-			}
-			if faulted {
-				// The optimized code itself faulted: extend the paper's
-				// fallback from "guard failed" to "fast path panicked" —
-				// atomically uninstall the entry and replay the whole
-				// activation through the original unoptimized code.
-				s.deoptimize(d, fast)
-				d.spanNoteFlags(span.FlagDeoptReplay)
-				// Replay against the freshest snapshot: the faulting chain
-				// may have rebound events before panicking.
-				snap = r.snap.Load()
-			} else {
-				d.stats.Fallbacks.Add(1)
-				d.spanNoteFlags(span.FlagGuardFallback)
-			}
 		}
 	}
 	d.generic(snap, ev, mode, args, depth, tracer)

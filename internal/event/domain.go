@@ -2,6 +2,7 @@ package event
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,29 +37,19 @@ type Domain struct {
 	qpolicy  OverflowPolicy // applied when the bounded queue is full
 	wake     chan struct{}  // nudges run loops when work arrives; never nil
 
-	// cont holds coalesced asynchronous raises pending on this domain
-	// (coalesce.go): continuations captured instead of enqueued, drained
-	// before the run queue (they stand for what would have been the queue
-	// head, which the coalesce guard proved empty). contHead indexes the
-	// next pending entry; the slice is reset when it empties.
+	// cont is the domain's continuation FIFO (coalesce.go): asynchronous
+	// raises captured by merged chains — running on this domain or on
+	// another one — instead of enqueued. Appended under qmu only while
+	// the queue is empty, so cont ++ queue is always the generic queue;
+	// popped before the queue. contHead indexes the next pending entry;
+	// the slice is reset when it empties.
 	cont     []*activation
 	contHead int
-
-	// handoff is the cross-domain continuation slot (coalesce.go): at
-	// most one continuation captured by a merged chain running in
-	// *another* domain, pending here on the owning domain. It is
-	// published with a single CAS while the publisher holds this
-	// domain's qmu and the capture guard (empty queue, no batch
-	// remainder, no pending continuation, no due timer, empty slot), so
-	// the slot stands for what would have been the queue head. Consumed
-	// before cont: a same-domain continuation captured while a handoff
-	// pends is, in the generic order, behind the handoff's enqueue.
-	handoff atomic.Pointer[activation]
 
 	// batchK is the drain batch size for run/DrainBatched (<=1:
 	// unbatched). Atomic so the adaptive controller can retune it while
 	// the run loop executes (TuneBatchDrain); the loop re-reads it once
-	// per wakeup. batchPin marks an explicit WithBatchDrain value the
+	// per pump. batchPin marks an explicit WithBatchDrain value the
 	// controller must leave alone.
 	batchK   atomic.Int32
 	batchPin bool
@@ -66,11 +57,9 @@ type Domain struct {
 
 	// batchRem counts batch-popped activations not yet executed by the
 	// drain loop. They are no longer in the queue but are logically ahead
-	// of any new raise, so the coalesce guard treats batchRem > 0 exactly
-	// like a non-empty queue — otherwise a continuation captured mid-batch
-	// would overtake the batch remainder, breaking FIFO equivalence with
-	// the unbatched drain. Written by the owning drain loop (and under qmu
-	// at batch-pop time); read atomically by the guard.
+	// of any new raise, so the capture guard treats batchRem > 0 exactly
+	// like a non-empty queue. Written by the owning drain loop (under qmu
+	// at pop time); read atomically by the guard.
 	batchRem atomic.Int32
 
 	slots []*dispatchSlot // depth-indexed dispatch scratch, guarded by runMu
@@ -173,33 +162,44 @@ func (s *System) PinEvent(ev ID, dom int) error {
 // Step runs at most one queued or due activation (or internal timer
 // callback, such as a quarantine re-admission) across all domains, in
 // domain order; it reports whether one ran.
-func (s *System) Step() bool {
+func (s *System) Step() bool { return s.sweep(1) > 0 }
+
+// sweep pumps the first domain, in domain order, that has runnable work
+// — up to k activations — and returns how many ran.
+func (s *System) sweep(k int) int {
 	for _, d := range s.domains {
-		if d.step() {
-			return true
+		if n := d.pump(k); n > 0 {
+			return n
 		}
 	}
-	return false
+	return 0
 }
 
-// step runs at most one runnable activation of this domain.
-func (d *Domain) step() bool {
-	a := d.popRunnable()
-	if a == nil {
-		return false
+// pump is the scheduler's one drain step: it pops up to k runnable
+// activations of this domain (k <= 1: one) under a single queue-lock
+// hold and runs them in order, returning how many ran. A k > 1 pump uses
+// the domain's batch scratch, so only the single drain loop that owns
+// the domain (run, or a DrainBatched caller) may ask for one.
+func (d *Domain) pump(k int) int {
+	var one [1]*activation
+	batch := one[:]
+	if k > 1 {
+		if cap(d.batchBuf) < k {
+			d.batchBuf = make([]*activation, k)
+		}
+		batch = d.batchBuf[:k]
 	}
-	if a.fire != nil {
-		fire := a.fire
-		d.sys.putAct(a)
-		fire()
-		return true
+	n := d.popRunnableBatch(batch)
+	for i, a := range batch[:n] {
+		batch[i] = nil
+		if i > 0 {
+			// Items after this one are still ahead in program order; the
+			// capture guard must not let a continuation overtake them.
+			d.batchRem.Store(int32(n - i - 1))
+		}
+		d.runTop(a)
 	}
-	if a.csh != nil {
-		d.runCont(a)
-		return true
-	}
-	d.runTop(a)
-	return true
+	return n
 }
 
 // earliestDeadline returns the earliest live timer deadline across all
@@ -221,34 +221,30 @@ func (s *System) earliestDeadline() (Duration, bool) {
 // returns the number of activations executed. Drain pumps all domains
 // from the calling goroutine in domain order, so it is deterministic;
 // use Run for parallel multi-domain execution under a real clock.
-func (s *System) Drain() int {
-	n := 0
-	for {
-		if s.Step() {
-			n++
-			continue
-		}
-		vc, ok := s.clock.(*VirtualClock)
-		if !ok {
-			return n
-		}
-		at, any := s.earliestDeadline()
-		if !any {
-			return n
-		}
-		vc.advanceTo(at)
-	}
-}
+func (s *System) Drain() int { return s.drain(math.MaxInt64, 1) }
 
 // DrainFor behaves like Drain but, under a virtual clock, never advances
 // time beyond limit; it is used to simulate a bounded run (for example, N
 // seconds of a frame-paced workload). It returns the number of
 // activations executed.
-func (s *System) DrainFor(limit Duration) int {
+func (s *System) DrainFor(limit Duration) int { return s.drain(limit, 1) }
+
+// DrainBatched behaves like Drain but pumps each domain in batches of up
+// to k activations per queue-lock acquisition (k <= 1 degenerates to
+// Drain). Like Drain it runs everything from the calling goroutine in
+// domain order, so it must not race a concurrent Run loop.
+func (s *System) DrainBatched(k int) int { return s.drain(math.MaxInt64, k) }
+
+// drain is the one virtual-clock sweep behind Drain, DrainFor and
+// DrainBatched: it pumps up to k activations at a time, restarting from
+// domain 0 after every pump (so k = 1 is a sequence of Steps), and when
+// nothing is runnable advances a virtual clock to the next deadline not
+// beyond limit.
+func (s *System) drain(limit Duration, k int) int {
 	n := 0
 	for {
-		if s.Step() {
-			n++
+		if m := s.sweep(k); m > 0 {
+			n += m
 			continue
 		}
 		vc, ok := s.clock.(*VirtualClock)
@@ -295,24 +291,18 @@ func (s *System) Run(stop <-chan struct{}) int {
 
 // run is one domain's blocking event loop. With a batch size configured
 // (WithBatchDrain, or the adaptive controller's TuneBatchDrain) it
-// pulls up to K activations per queue-lock acquisition and per wakeup
-// instead of one. The batch size is re-read every loop iteration so a
-// retune takes effect at the next wakeup without restarting the loop.
+// pulls up to K activations per queue-lock acquisition instead of one.
+// The batch size is re-read every pump so a retune takes effect without
+// restarting the loop.
 func (d *Domain) run(stop <-chan struct{}) int {
 	n := 0
 	for {
-		if batch := d.batchScratch(); batch == nil {
-			for d.step() {
-				n++
+		for {
+			m := d.pump(int(d.batchK.Load()))
+			if m == 0 {
+				break
 			}
-		} else {
-			for {
-				m := d.popRunnableBatch(batch)
-				if m == 0 {
-					break
-				}
-				n += d.runBatch(batch[:m])
-			}
+			n += m
 		}
 		select {
 		case <-stop:
@@ -345,23 +335,8 @@ func (d *Domain) run(stop <-chan struct{}) int {
 	}
 }
 
-// batchScratch returns the domain's reusable batch buffer sized to its
-// configured batch K, or nil when batching is off. Only the single
-// drain loop that owns the domain (run, or a DrainBatched pump) may use
-// it — the same exclusivity Drain and Run already require.
-func (d *Domain) batchScratch() []*activation {
-	k := int(d.batchK.Load())
-	if k <= 1 {
-		return nil
-	}
-	if cap(d.batchBuf) < k {
-		d.batchBuf = make([]*activation, k)
-	}
-	return d.batchBuf[:k]
-}
-
 // TuneBatchDrain sets the drain batch size of domain dom at run time;
-// the domain's Run loop picks the new size up at its next wakeup. It is
+// the domain's Run loop picks the new size up at its next pump. It is
 // the adaptive controller's K-tuning seam. k <= 1 restores the
 // unbatched loop; a domain pinned by an explicit WithBatchDrain refuses
 // retuning. It reports whether the size was applied.
@@ -397,107 +372,6 @@ func (s *System) BatchPinned(dom int) bool {
 		return false
 	}
 	return s.domains[dom].batchPin
-}
-
-// runBatch executes a popped batch in order and returns how many
-// activations ran. The registry resolution (record, binding snapshot,
-// fast path) is hoisted across the batch: consecutive activations of the
-// same event reuse one resolution while the publish generation is
-// unchanged, so a K-item batch of a hot event pays one set of atomic
-// registry loads instead of K. Guards are still enforced per activation
-// — a publish, install or deopt bumps the generation and invalidates
-// the cache, and the fast-path version check re-runs on every dispatch
-// regardless.
-//
-// Continuations need no per-item drain here: the coalesce and handoff
-// guards reject captures while the batch remainder is in flight
-// (batchRem), so one can only appear during the final item — and the
-// next popRunnableBatch pops the pending handoff and continuations
-// before anything else.
-func (d *Domain) runBatch(batch []*activation) int {
-	s := d.sys
-	n := 0
-	gen := s.pubGen.Load()
-	var (
-		lastEv   = NoID
-		lastRec  *eventRec
-		lastSnap *bindingSnapshot
-		lastFast *SuperHandler
-	)
-	for i, a := range batch {
-		batch[i] = nil
-		// Items after this one are still ahead in program order; the
-		// coalesce guard must not let a continuation overtake them.
-		d.batchRem.Store(int32(len(batch) - i - 1))
-		switch {
-		case a.fire != nil:
-			fire := a.fire
-			s.putAct(a)
-			fire()
-		case a.csh != nil:
-			d.runCont(a)
-		case s.tel != nil || s.spans != nil:
-			// The telemetry/span wrappers re-instrument each activation;
-			// they resolve for themselves.
-			d.runTop(a)
-		default:
-			if g := s.pubGen.Load(); a.ev != lastEv || g != gen {
-				gen, lastEv = g, a.ev
-				lastRec = s.recLF(a.ev)
-				if lastRec != nil {
-					lastSnap = lastRec.snap.Load()
-					lastFast = lastRec.fast.Load()
-				}
-			}
-			if lastRec == nil {
-				s.putAct(a) // unknown event: the async dispatch error is discarded
-			} else {
-				d.runTopResolved(a, lastRec, lastSnap, lastFast)
-			}
-		}
-		n++
-	}
-	return n
-}
-
-// DrainBatched behaves like Drain but pumps each domain in batches of up
-// to k activations per queue-lock acquisition (k <= 1 degenerates to
-// Drain). Like Drain it runs everything from the calling goroutine in
-// domain order, so it must not race a concurrent Run loop.
-func (s *System) DrainBatched(k int) int {
-	if k <= 1 {
-		return s.Drain()
-	}
-	n := 0
-	for {
-		ran := 0
-		for _, d := range s.domains {
-			if cap(d.batchBuf) < k {
-				d.batchBuf = make([]*activation, k)
-			}
-			batch := d.batchBuf[:k]
-			for {
-				m := d.popRunnableBatch(batch)
-				if m == 0 {
-					break
-				}
-				ran += d.runBatch(batch[:m])
-			}
-		}
-		if ran > 0 {
-			n += ran
-			continue
-		}
-		vc, ok := s.clock.(*VirtualClock)
-		if !ok {
-			return n
-		}
-		at, any := s.earliestDeadline()
-		if !any {
-			return n
-		}
-		vc.advanceTo(at)
-	}
 }
 
 // QueueLen reports the number of queued (not yet run) asynchronous

@@ -1,10 +1,6 @@
 package event
 
-import (
-	"fmt"
-
-	"eventopt/internal/span"
-)
+import "fmt"
 
 // Step is one merged handler invocation inside a super-handler. It keeps
 // the original event and handler names so instrumented executions of
@@ -151,7 +147,6 @@ func (s *System) installFastPath(sh *SuperHandler, old *SuperHandler, cas bool) 
 	if cas {
 		swapped := r.fast.CompareAndSwap(old, sh)
 		if swapped {
-			s.pubGen.Add(1)
 			if h := s.sched; h != nil {
 				h.Sched(SchedInstall, int(r.dom.Load()), sh.Entry, sh.Segments[0].Version)
 			}
@@ -159,7 +154,6 @@ func (s *System) installFastPath(sh *SuperHandler, old *SuperHandler, cas bool) 
 		return swapped, nil
 	}
 	r.fast.Store(sh)
-	s.pubGen.Add(1)
 	if h := s.sched; h != nil {
 		h.Sched(SchedInstall, int(r.dom.Load()), sh.Entry, sh.Segments[0].Version)
 	}
@@ -170,7 +164,6 @@ func (s *System) installFastPath(sh *SuperHandler, old *SuperHandler, cas bool) 
 func (s *System) RemoveFastPath(ev ID) {
 	if r := s.recLF(ev); r != nil {
 		r.fast.Store(nil)
-		s.pubGen.Add(1)
 		if h := s.sched; h != nil {
 			h.Sched(SchedRemove, int(r.dom.Load()), ev, 0)
 		}
@@ -186,7 +179,6 @@ func (s *System) RemoveFastPathIf(sh *SuperHandler) bool {
 	if r == nil || !r.fast.CompareAndSwap(sh, nil) {
 		return false
 	}
-	s.pubGen.Add(1)
 	if h := s.sched; h != nil {
 		h.Sched(SchedRemove, int(r.dom.Load()), sh.Entry, 0)
 	}
@@ -202,7 +194,6 @@ func (s *System) deoptimize(d *Domain, sh *SuperHandler) {
 	if r == nil || !r.fast.CompareAndSwap(sh, nil) {
 		return
 	}
-	s.pubGen.Add(1)
 	d.stats.Deopts.Add(1)
 	if h := s.sched; h != nil {
 		h.Sched(SchedRemove, d.idx, sh.Entry, 0)
@@ -251,9 +242,7 @@ func (sh *SuperHandler) run(d *Domain, mode Mode, args []Arg, depth int, tracer 
 	// The execution state lives in this depth's dispatch scratch: one
 	// argument view is built for the whole chain (no per-handler record
 	// or resolution) and nothing on the steady-state path allocates.
-	ce := &d.slot(depth).ce
-	*ce = chainExec{sh: sh, d: d, tracer: tracer, supervised: d.sys.policy() != Propagate}
-	ce.runSegment(0, args, mode, depth)
+	d.slot(depth).ce.start(sh, d, tracer).runSegment(0, args, mode, depth)
 	return true
 }
 
@@ -263,6 +252,16 @@ type chainExec struct {
 	d          *Domain
 	tracer     Tracer
 	supervised bool // record in-flight handler names for fault attribution
+}
+
+// start resets ce for a run of sh on domain d and returns it. The fields
+// are stored one by one: a composite literal would be built in a stack
+// temporary and block-copied, and reading the copy back right away
+// stalls store forwarding on the hot path.
+func (ce *chainExec) start(sh *SuperHandler, d *Domain, tracer Tracer) *chainExec {
+	ce.sh, ce.d, ce.tracer = sh, d, tracer
+	ce.supervised = d.sys.policy() != Propagate
+	return ce
 }
 
 // runSegment executes the steps (or fused body) of one segment. The
@@ -342,63 +341,12 @@ func (ce *chainExec) dispatchNested(c *Ctx, ev ID, args []Arg) bool {
 		// Not covered (or a cyclic raise of the entry): generic path.
 		return false
 	}
-	seg := &ce.sh.Segments[idx]
 	d := ce.d
-	s := d.sys
-
-	d.stats.Raises.Add(1)
-	d.stats.SyncRaises.Add(1)
-	if ce.tracer != nil {
-		ce.tracer.Event(ev, seg.EventName, Sync, c.depth+1, d.idx)
-	}
-	tel := s.tel
-	var telStart Duration
-	telSampled := false
-	if tel != nil {
-		if telSampled = tel.RecordDispatch(d.idx, int32(ev), true); telSampled {
-			telStart = s.clock.Now()
-		}
-	}
-
-	// Subsumed raises never pass through dispatch(), so the span child
-	// hook lives here: same save/zero/restore discipline as
-	// dispatchSpanned, crediting the innermost open span only.
-	col := s.spans
-	var spID, spParent uint64
-	var prevTier, prevFlags uint8
-	var spStart Duration
-	var spFaultsBefore int
-	if col != nil && d.curTrace != 0 {
-		spID, spParent = col.NextID(d.idx), d.curSpan
-		prevTier, prevFlags = d.spanTier, d.spanFlags
-		d.curSpan = spID
-		d.spanTier, d.spanFlags = 0, 0
-		spFaultsBefore = d.fault.activationFaults
-		spStart = s.clock.Now()
-	}
-
-	// The guard must be re-checked at dispatch time: a handler earlier in
-	// this very chain may have rebound ev.
-	if !ce.sh.segMatches(idx) {
-		d.stats.SegFallbacks.Add(1)
-		d.spanNoteFlags(span.FlagSegFallback)
-		d.generic(ce.sh.recs[idx].snap.Load(), ev, Sync, args, c.depth+1, ce.tracer)
-	} else {
-		d.spanNoteTier(spanTierOf(ce.sh))
-		ce.runSegment(idx, args, Sync, c.depth+1)
-	}
-	if spID != 0 {
-		spEnd := s.clock.Now()
-		tier, flags := span.Tier(d.spanTier), span.Flags(d.spanFlags)
-		if d.fault.activationFaults > spFaultsBefore {
-			flags |= span.FlagFault
-		}
-		d.curSpan = spParent
-		d.spanTier, d.spanFlags = prevTier, prevFlags
-		col.Record(d.idx, d.curTrace, spID, spParent, int32(ev), span.KindSync, tier, flags, uint8(Sync), int64(spStart), int64(spEnd))
-	}
-	if telSampled {
-		tel.RecordLatency(d.idx, int32(ev), int64(s.clock.Now()-telStart))
+	// The segment route of the one dispatch: the segment guard is
+	// re-checked there, since a handler earlier in this very chain may
+	// have rebound ev.
+	if err := d.sys.dispatch(d, ev, Sync, args, c.depth+1, ce.sh, idx); err != nil {
+		d.sys.report(err)
 	}
 	if ce.supervised {
 		// The caller's handler body resumes: restore its attribution so a

@@ -73,7 +73,6 @@ func (s *System) Define(name string) ID {
 	s.byName[name] = id
 	s.publishTableLocked()
 	s.publishNamesLocked()
-	s.pubGen.Add(1)
 	if s.tel != nil {
 		// Pre-grow the telemetry tables so its record paths never allocate.
 		s.tel.DefineEvent(int32(id), name)
@@ -191,7 +190,6 @@ func (s *System) Delete(ev ID) error {
 	delete(s.byName, r.name)
 	s.publishNamesLocked()
 	r.fast.Store(nil)
-	s.pubGen.Add(1)
 	if h := s.sched; h != nil {
 		h.Sched(SchedPublish, int(r.dom.Load()), ev, r.ver.Load())
 	}
@@ -231,7 +229,6 @@ func (s *System) Bind(ev ID, name string, fn HandlerFunc, opts ...BindOption) Bi
 		return r.handlers[i].seq < r.handlers[j].seq
 	})
 	r.publish(true)
-	s.pubGen.Add(1)
 	if h := s.sched; h != nil {
 		h.Sched(SchedPublish, int(r.dom.Load()), ev, r.ver.Load())
 	}
@@ -251,7 +248,6 @@ func (s *System) Unbind(b Binding) error {
 		if h.seq == b.seq {
 			r.handlers = append(r.handlers[:i], r.handlers[i+1:]...)
 			r.publish(true)
-			s.pubGen.Add(1)
 			if hk := s.sched; hk != nil {
 				hk.Sched(SchedPublish, int(r.dom.Load()), b.ev, r.ver.Load())
 			}

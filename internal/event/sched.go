@@ -140,17 +140,9 @@ func (s *System) RaiseAfter(d Duration, ev ID, args ...Arg) Timer {
 // raiseAfterCtx is RaiseAfter carrying a span context onto the timer
 // entry (zero trace for an untraced deferral).
 func (s *System) raiseAfterCtx(d Duration, ev ID, args []Arg, trace, pspan uint64, skind uint8) Timer {
-	if d < 0 {
-		d = 0
-	}
 	dom := s.domainOf(ev)
-	dom.qmu.Lock()
-	dom.tseq++
-	e := &timerEntry{at: s.clock.Now() + d, seq: dom.tseq, ev: ev, mode: Delayed, args: cloneArgs(args), owner: dom,
-		trace: trace, pspan: pspan, skind: skind}
-	heap.Push(&dom.timers, e)
-	dom.qmu.Unlock()
-	dom.nudge()
+	e := &timerEntry{ev: ev, mode: Delayed, args: cloneArgs(args), owner: dom, trace: trace, pspan: pspan, skind: skind}
+	dom.armTimer(d, e)
 	return Timer{e: e}
 }
 
@@ -160,13 +152,7 @@ func (s *System) raiseAfterCtx(d Duration, ev ID, args []Arg, trace, pspan uint6
 // cancellation token escapes, so owner stays nil. trace/pspan parent the
 // replay's span on the attempt that faulted (zero when untraced).
 func (d *Domain) scheduleRetry(delay Duration, ev ID, mode Mode, args []Arg, attempt int, trace, pspan uint64, skind uint8) {
-	d.qmu.Lock()
-	d.tseq++
-	e := &timerEntry{at: d.sys.clock.Now() + delay, seq: d.tseq, ev: ev, mode: mode, args: cloneArgs(args), attempt: attempt,
-		trace: trace, pspan: pspan, skind: skind}
-	heap.Push(&d.timers, e)
-	d.qmu.Unlock()
-	d.nudge()
+	d.armTimer(delay, &timerEntry{ev: ev, mode: mode, args: cloneArgs(args), attempt: attempt, trace: trace, pspan: pspan, skind: skind})
 }
 
 // scheduleInternal arms an internal callback timer (quarantine
@@ -174,12 +160,19 @@ func (d *Domain) scheduleRetry(delay Duration, ev ID, mode Mode, args []Arg, att
 // activations, so it is deterministic under VirtualClock and fires from
 // Step/Drain/Run.
 func (d *Domain) scheduleInternal(delay Duration, fire func()) {
+	d.armTimer(delay, &timerEntry{fire: fire})
+}
+
+// armTimer pushes e onto this domain's timer heap with its deadline delay
+// from now (negative delays fire immediately) and the next sequence
+// number, then wakes the domain's run loop.
+func (d *Domain) armTimer(delay Duration, e *timerEntry) {
 	if delay < 0 {
 		delay = 0
 	}
 	d.qmu.Lock()
 	d.tseq++
-	e := &timerEntry{at: d.sys.clock.Now() + delay, seq: d.tseq, fire: fire}
+	e.at, e.seq = d.sys.clock.Now()+delay, d.tseq
 	heap.Push(&d.timers, e)
 	d.qmu.Unlock()
 	d.nudge()
@@ -212,34 +205,28 @@ func (s *System) enqueueCtx(ev ID, mode Mode, args []Arg, trace, pspan uint64, s
 // The domain takes ownership of the record; records the policy drops are
 // released back to the pool here.
 func (d *Domain) enqueueAct(a *activation) {
+	ev := a.ev // a belongs to the consumer once it is pushed
+	var evicted *activation
 	d.qmu.Lock()
 	if d.qcap > 0 && d.q.len() >= d.qcap {
-		pol := d.qpolicy
 		d.stats.QueueDrops.Add(1)
-		switch pol {
-		case DropOldest:
-			old := d.q.pop()
-			d.q.push(a)
+		if pol := d.qpolicy; pol != DropOldest {
 			d.qmu.Unlock()
-			d.sys.putAct(old)
-			if h := d.sys.sched; h != nil {
-				h.Sched(SchedEnqueue, d.idx, a.ev, 0)
+			d.sys.putAct(a)
+			if pol == RejectNew {
+				d.sys.report(ErrQueueFull)
 			}
-			d.nudge()
-		case DropNewest:
-			d.qmu.Unlock()
-			d.sys.putAct(a)
-		default: // RejectNew
-			d.qmu.Unlock()
-			d.sys.putAct(a)
-			d.sys.report(ErrQueueFull)
+			return
 		}
-		return
+		evicted = d.q.pop()
 	}
 	d.q.push(a)
 	d.qmu.Unlock()
+	if evicted != nil {
+		d.sys.putAct(evicted)
+	}
 	if h := d.sys.sched; h != nil {
-		h.Sched(SchedEnqueue, d.idx, a.ev, 0)
+		h.Sched(SchedEnqueue, d.idx, ev, 0)
 	}
 	d.nudge()
 }
@@ -291,77 +278,8 @@ func cloneArgs(args []Arg) []Arg {
 	return out
 }
 
-// popRunnable removes and returns the next runnable activation of this
-// domain: a queued asynchronous activation, or a timer whose deadline
-// has passed (nil when nothing is runnable). A due timer entry is
-// drained into a pooled activation record — the entry's cloned argument
-// slice transfers ownership, so the pop reallocates nothing — and the
-// caller owns the returned record.
-func (d *Domain) popRunnable() *activation {
-	d.qmu.Lock()
-	defer d.qmu.Unlock()
-	// Pending continuations run first: each stands for what would have
-	// been the queue head at capture time (the capture guard required an
-	// empty queue), so continuation-before-queue preserves the generic
-	// FIFO order. A cross-domain handoff precedes same-domain
-	// continuations: its guard required the cont list empty, so any
-	// pending continuation was captured after it.
-	if a := d.takeHandoffLocked(); a != nil {
-		return a
-	}
-	if a := d.popContLocked(); a != nil {
-		return a
-	}
-	now := d.sys.clock.Now()
-	// Due timers fire before queued events with respect to their deadline
-	// order, but queued events that were enqueued first still drain FIFO;
-	// we give precedence to due timers to honor their deadlines.
-	for len(d.timers) > 0 {
-		e := d.timers.peek()
-		e.mu.Lock()
-		if e.done {
-			e.mu.Unlock()
-			d.dropDoneTimerLocked()
-			continue
-		}
-		if e.at <= now {
-			e.done = true
-			e.mu.Unlock()
-			heap.Pop(&d.timers)
-			a := d.sys.getAct()
-			a.ev, a.mode, a.attempt, a.fire = e.ev, e.mode, e.attempt, e.fire
-			a.trace, a.pspan, a.skind = e.trace, e.pspan, e.skind
-			a.adoptArgs(e.args)
-			e.args = nil
-			if tel := d.sys.tel; tel != nil && a.fire == nil {
-				// A timer's queue delay is the time past its deadline.
-				tel.RecordQueueDelay(d.idx, int32(a.ev), int64(now-e.at))
-			}
-			if h := d.sys.sched; h != nil {
-				h.Sched(SchedTimerFire, d.idx, a.ev, 0)
-			}
-			return a
-		}
-		e.mu.Unlock()
-		break
-	}
-	a := d.q.pop()
-	if a != nil {
-		if a.enqSet {
-			if tel := d.sys.tel; tel != nil {
-				tel.RecordQueueDelay(d.idx, int32(a.ev), int64(now-a.enqAt))
-			}
-		}
-		if h := d.sys.sched; h != nil {
-			h.Sched(SchedPop, d.idx, a.ev, 0)
-		}
-	}
-	return a
-}
-
-// popContLocked removes and returns the oldest pending coalesced
-// continuation (nil when none), clearing the vacated slot. Caller holds
-// qmu.
+// popContLocked removes and returns the oldest pending continuation (nil
+// when none), clearing the vacated slot. Caller holds qmu.
 func (d *Domain) popContLocked() *activation {
 	if d.contHead >= len(d.cont) {
 		return nil
@@ -379,112 +297,87 @@ func (d *Domain) popContLocked() *activation {
 	return a
 }
 
-// takeCont pops the oldest pending coalesced continuation, locking qmu.
-func (d *Domain) takeCont() *activation {
-	d.qmu.Lock()
-	a := d.popContLocked()
-	d.qmu.Unlock()
-	return a
-}
-
-// takeHandoffLocked removes and returns the pending cross-domain
-// continuation (nil when none), reporting the consume as a
-// SchedContinue like a same-domain continuation pop. Caller holds qmu.
-func (d *Domain) takeHandoffLocked() *activation {
-	a := d.handoff.Swap(nil)
-	if a == nil {
-		return nil
-	}
-	if h := d.sys.sched; h != nil {
-		h.Sched(SchedContinue, d.idx, a.ev, 0)
-	}
-	return a
-}
-
-// dueTimerLocked reports whether a live timer of this domain is at or
-// past its deadline at now. Caller holds qmu.
-func (d *Domain) dueTimerLocked(now Duration) bool {
-	// Same hoisted compare as popRunnableBatch: the heap top's immutable
-	// `at` lower-bounds every live deadline, so one unlocked read answers
-	// the common "nothing due" case.
-	if len(d.timers) == 0 || d.timers[0].at > now {
-		return false
-	}
+// liveTimerLocked drops canceled entries off the heap top and returns the
+// earliest live timer (nil when none). Caller holds qmu.
+func (d *Domain) liveTimerLocked() *timerEntry {
 	for len(d.timers) > 0 {
 		e := d.timers.peek()
 		e.mu.Lock()
-		done, at := e.done, e.at
+		done := e.done
 		e.mu.Unlock()
-		if done {
-			d.dropDoneTimerLocked()
-			continue
+		if !done {
+			return e
 		}
-		return at <= now
+		d.dropDoneTimerLocked()
 	}
-	return false
+	return nil
 }
 
-// popRunnableBatch fills dst with up to len(dst) runnable activations
-// under a single qmu acquisition — a pending cross-domain handoff
-// first, then pending continuations, then due timers in deadline order,
-// then queued activations FIFO — and reports how many it moved. The queued portion reports one SchedBatchPop event
-// carrying the popped count instead of a SchedPop per activation.
-func (d *Domain) popRunnableBatch(dst []*activation) int {
-	if len(dst) == 0 {
-		return 0
+// dueTimerLocked reports whether a live timer of this domain is at or
+// past its deadline now; it reads the clock only when a timer is armed.
+// Caller holds qmu.
+func (d *Domain) dueTimerLocked() bool {
+	if len(d.timers) == 0 {
+		return false
 	}
+	// `at` is written once at arming (under qmu) and never again, so the
+	// heap top's deadline lower-bounds every live deadline — even a
+	// canceled top's stale one — and one read without the entry mutex
+	// answers the common "nothing due" case.
+	now := d.sys.clock.Now()
+	if d.timers[0].at > now {
+		return false
+	}
+	e := d.liveTimerLocked()
+	return e != nil && e.at <= now
+}
+
+// popRunnableBatch is the scheduler's one pop: it fills dst with up to
+// len(dst) runnable activations under a single qmu acquisition — pending
+// continuations first, then due timers in deadline order, then queued
+// activations FIFO — and reports how many it moved. The queued portion
+// reports one SchedPop for a one-item pop and one SchedBatchPop carrying
+// the popped count otherwise.
+func (d *Domain) popRunnableBatch(dst []*activation) int {
 	d.qmu.Lock()
 	n := 0
-	if a := d.takeHandoffLocked(); a != nil {
-		dst[n] = a
-		n++
-	}
-	for n < len(dst) {
-		a := d.popContLocked()
-		if a == nil {
-			break
-		}
-		dst[n] = a
-		n++
-	}
-	now := d.sys.clock.Now()
-	// Single hoisted deadline compare per batch: `at` is written once at
-	// arming (under qmu, like every heap mutation) and never again, so the
-	// heap top's deadline — the minimum over all entries, where even a
-	// canceled entry's stale `at` is a conservative lower bound — is
-	// readable here without the per-entry mutex. Batches with no due timer
-	// (the steady-state drain) skip the lock/peek dance entirely; the
-	// locked loop below runs only when a deadline has actually passed.
-	for n < len(dst) && len(d.timers) > 0 && d.timers[0].at <= now {
-		e := d.timers.peek()
-		e.mu.Lock()
-		if e.done {
-			e.mu.Unlock()
-			d.dropDoneTimerLocked()
-			continue
-		}
-		if e.at > now {
-			e.mu.Unlock()
-			break
-		}
-		e.done = true
-		e.mu.Unlock()
-		heap.Pop(&d.timers)
-		a := d.sys.getAct()
-		a.ev, a.mode, a.attempt, a.fire = e.ev, e.mode, e.attempt, e.fire
-		a.trace, a.pspan, a.skind = e.trace, e.pspan, e.skind
-		a.adoptArgs(e.args)
-		e.args = nil
-		if tel := d.sys.tel; tel != nil && a.fire == nil {
-			tel.RecordQueueDelay(d.idx, int32(a.ev), int64(now-e.at))
-		}
-		if h := d.sys.sched; h != nil {
-			h.Sched(SchedTimerFire, d.idx, a.ev, 0)
-		}
-		dst[n] = a
+	// Continuations stand for what would have been the queue head at
+	// capture time (the capture guard required an empty queue), so
+	// continuations-before-queue is the generic FIFO order.
+	for n < len(dst) && d.contHead < len(d.cont) {
+		dst[n] = d.popContLocked()
 		n++
 	}
 	if n < len(dst) {
+		now := d.sys.clock.Now()
+		// Due timers fire before queued events to honor their deadlines.
+		// (The same unlocked heap-top compare as dueTimerLocked.)
+		for n < len(dst) && len(d.timers) > 0 && d.timers[0].at <= now {
+			e := d.timers.peek()
+			e.mu.Lock()
+			canceled := e.done
+			e.done = true
+			e.mu.Unlock()
+			if canceled {
+				d.dropDoneTimerLocked()
+				continue
+			}
+			heap.Pop(&d.timers)
+			a := d.sys.getAct()
+			a.ev, a.mode, a.attempt, a.fire = e.ev, e.mode, e.attempt, e.fire
+			a.trace, a.pspan, a.skind = e.trace, e.pspan, e.skind
+			a.adoptArgs(e.args) // the entry's clone transfers ownership
+			e.args = nil
+			if tel := d.sys.tel; tel != nil && a.fire == nil {
+				// A timer's queue delay is the time past its deadline.
+				tel.RecordQueueDelay(d.idx, int32(a.ev), int64(now-e.at))
+			}
+			if h := d.sys.sched; h != nil {
+				h.Sched(SchedTimerFire, d.idx, a.ev, 0)
+			}
+			dst[n] = a
+			n++
+		}
 		if k := d.q.popN(dst[n:], len(dst)-n); k > 0 {
 			if tel := d.sys.tel; tel != nil {
 				for _, a := range dst[n : n+k] {
@@ -494,15 +387,21 @@ func (d *Domain) popRunnableBatch(dst []*activation) int {
 				}
 			}
 			if h := d.sys.sched; h != nil {
-				h.Sched(SchedBatchPop, d.idx, dst[n].ev, uint64(k))
+				if len(dst) == 1 {
+					h.Sched(SchedPop, d.idx, dst[n].ev, 0)
+				} else {
+					h.Sched(SchedBatchPop, d.idx, dst[n].ev, uint64(k))
+				}
 			}
 			n += k
 		}
 	}
-	// Publish the batch size before releasing qmu: from this moment the
-	// popped items are invisible to the queue but still ahead of any new
-	// raise, and the coalesce guard reads batchRem to respect that.
-	d.batchRem.Store(int32(n))
+	// Publish the batch remainder before releasing qmu: from this moment
+	// the popped items are invisible to the queue but still ahead of any
+	// new raise, and the capture guard reads batchRem to respect that.
+	if len(dst) > 1 && n > 0 {
+		d.batchRem.Store(int32(n - 1))
+	}
 	d.qmu.Unlock()
 	return n
 }
@@ -521,17 +420,8 @@ func (d *Domain) dropDoneTimerLocked() {
 func (d *Domain) nextDeadline() (Duration, bool) {
 	d.qmu.Lock()
 	defer d.qmu.Unlock()
-	for len(d.timers) > 0 {
-		e := d.timers.peek()
-		e.mu.Lock()
-		done := e.done
-		at := e.at
-		e.mu.Unlock()
-		if done {
-			d.dropDoneTimerLocked()
-			continue
-		}
-		return at, true
+	if e := d.liveTimerLocked(); e != nil {
+		return e.at, true
 	}
 	return 0, false
 }

@@ -31,12 +31,12 @@ const (
 	// guards passed); ver is the entry guard version that matched.
 	SchedFastEntry
 	// SchedCoalesce: an asynchronous raise of a covered async-entry
-	// segment was captured as a pending continuation on its own domain
-	// instead of enqueued (coalesce.go); ver is the segment guard version
-	// observed at capture.
+	// segment owned by the raising domain was captured into that domain's
+	// continuation FIFO instead of enqueued (coalesce.go); ver is the
+	// segment guard version observed at capture.
 	SchedCoalesce
-	// SchedContinue: a pending coalesced continuation was taken for
-	// execution (the pop of a coalesced raise).
+	// SchedContinue: a pending continuation was taken from the domain's
+	// continuation FIFO for execution (the pop of a captured raise).
 	SchedContinue
 	// SchedBatchPop: a batched drain popped ver (>= 1) queued activations
 	// under one queue-lock acquisition; ev is the first popped event. It
@@ -44,7 +44,7 @@ const (
 	SchedBatchPop
 	// SchedHandoff: an asynchronous raise of a covered async-entry
 	// segment owned by *another* domain was captured into that domain's
-	// handoff slot instead of enqueued (coalesce.go); dom is the
+	// continuation FIFO instead of enqueued (coalesce.go); dom is the
 	// receiving domain, ver is the segment guard version observed at
 	// capture. The consume reports as SchedContinue on the same domain.
 	SchedHandoff
@@ -108,17 +108,21 @@ func (s *System) StepDomain(dom int) bool {
 	if dom < 0 || dom >= len(s.domains) {
 		return false
 	}
-	return s.domains[dom].step()
+	return s.domains[dom].pump(1) > 0
 }
 
 // DomainRunnable reports whether domain dom has work that would run
-// right now: a queued activation or a timer at or past its deadline.
-// It does not consider future timers; see NextDeadline.
+// right now: a pending continuation, a queued activation or a timer at
+// or past its deadline. It does not consider future timers; see
+// NextDeadline.
 func (s *System) DomainRunnable(dom int) bool {
 	if dom < 0 || dom >= len(s.domains) {
 		return false
 	}
-	return s.domains[dom].runnable()
+	d := s.domains[dom]
+	d.qmu.Lock()
+	defer d.qmu.Unlock()
+	return d.contHead < len(d.cont) || d.q.len() > 0 || d.dueTimerLocked()
 }
 
 // NextDeadline returns the earliest live timer deadline across all
@@ -127,32 +131,4 @@ func (s *System) DomainRunnable(dom int) bool {
 // activation runnable.
 func (s *System) NextDeadline() (Duration, bool) {
 	return s.earliestDeadline()
-}
-
-// runnable reports whether this domain could execute an activation now.
-func (d *Domain) runnable() bool {
-	d.qmu.Lock()
-	defer d.qmu.Unlock()
-	if d.handoff.Load() != nil {
-		return true
-	}
-	if len(d.cont) > d.contHead {
-		return true
-	}
-	if d.q.len() > 0 {
-		return true
-	}
-	now := d.sys.clock.Now()
-	for len(d.timers) > 0 {
-		e := d.timers.peek()
-		e.mu.Lock()
-		done, at := e.done, e.at
-		e.mu.Unlock()
-		if done {
-			d.dropDoneTimerLocked()
-			continue
-		}
-		return at <= now
-	}
-	return false
 }

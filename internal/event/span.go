@@ -22,81 +22,27 @@ func (s *System) Spans() *span.Collector { return s.spans }
 // SpanTracingEnabled reports whether the span layer is active.
 func (s *System) SpanTracingEnabled() bool { return s.spans != nil }
 
-// dispatchObserved routes through the telemetry wrapper when telemetry
-// is on, else straight to the core dispatcher. It is the layer below
-// span bracketing: spans time the whole activation including its
-// telemetry accounting.
-func (s *System) dispatchObserved(d *Domain, ev ID, mode Mode, args []Arg, depth int) error {
-	if tel := s.tel; tel != nil {
-		return s.dispatchTimed(tel, d, ev, mode, args, depth)
-	}
-	return s.dispatchCore(d, ev, mode, args, depth)
-}
-
-// dispatchSpanned brackets one dispatch with a span when the activation
-// belongs to a sampled trace. Top-level dispatches either inherit the
-// context stamped on their activation record (pend*, set by runTop) or
-// draw the root-sampling decision; nested dispatches inherit the
-// domain's current span context. Unsampled activations pay one branch
-// and, at top level, one hash draw.
-//
-// The tier/flag scratch (d.spanTier, d.spanFlags) is saved and zeroed
-// around the inner dispatch so the attribution points in
-// dispatchResolved credit the innermost open span only.
-func (s *System) dispatchSpanned(d *Domain, ev ID, mode Mode, args []Arg, depth int) error {
-	col := s.spans
-	var trace, parent uint64
-	var kind span.Kind
+// spanContext picks the span context of a dispatch at depth: nested
+// raises inherit the domain's open span; a top-level dispatch adopts the
+// context stamped on its activation record (pend*, set by runTop) or,
+// when it carries none and mayRoot is set, draws the root-sampling
+// decision. It reports traced=false for an unsampled activation, which
+// then pays one branch and, at top level, one hash draw. Caller holds
+// runMu.
+func (d *Domain) spanContext(depth int, mayRoot bool) (trace, parent uint64, kind span.Kind, traced bool) {
 	if depth > 0 {
-		if d.curTrace == 0 {
-			// Unsampled nested raise: skip the dispatchObserved frame —
-			// this is the hot path's only extra cost besides the branch.
-			if tel := s.tel; tel != nil {
-				return s.dispatchTimed(tel, d, ev, mode, args, depth)
-			}
-			return s.dispatchCore(d, ev, mode, args, depth)
-		}
-		trace, parent, kind = d.curTrace, d.curSpan, span.KindSync
-	} else {
-		trace, parent, kind = d.pendTrace, d.pendSpan, span.Kind(d.pendKind)
-		d.pendTrace, d.pendSpan, d.pendKind = 0, 0, 0
-		if trace == 0 {
-			if !col.SampleRoot(d.idx) {
-				d.lastSpanTrace, d.lastSpanID = 0, 0
-				if tel := s.tel; tel != nil {
-					return s.dispatchTimed(tel, d, ev, mode, args, depth)
-				}
-				return s.dispatchCore(d, ev, mode, args, depth)
-			}
-			kind, parent = span.KindRoot, 0
-		}
+		return d.curTrace, d.curSpan, span.KindSync, d.curTrace != 0
 	}
-	id := col.NextID(d.idx)
-	if trace == 0 {
-		trace = id
+	// pendSpan/pendKind mean nothing while pendTrace is zero, so clearing
+	// the trace word alone retires them.
+	if trace = d.pendTrace; trace != 0 {
+		d.pendTrace = 0
+		return trace, d.pendSpan, span.Kind(d.pendKind), true
 	}
-	prevTrace, prevSpan := d.curTrace, d.curSpan
-	prevTier, prevFlags := d.spanTier, d.spanFlags
-	d.curTrace, d.curSpan = trace, id
-	d.spanTier, d.spanFlags = 0, 0
-	faultsBefore := d.fault.activationFaults
-	start := s.clock.Now()
-	err := s.dispatchObserved(d, ev, mode, args, depth)
-	end := s.clock.Now()
-	flags := span.Flags(d.spanFlags)
-	tier := span.Tier(d.spanTier)
-	if d.fault.activationFaults > faultsBefore {
-		flags |= span.FlagFault
+	if mayRoot && d.sys.spans.SampleRoot(d.idx) {
+		return 0, 0, span.KindRoot, true
 	}
-	d.curTrace, d.curSpan = prevTrace, prevSpan
-	d.spanTier, d.spanFlags = prevTier, prevFlags
-	if depth == 0 {
-		// Remembered across the runMu release so the retry machinery can
-		// parent a replay on the attempt that faulted.
-		d.lastSpanTrace, d.lastSpanID = trace, id
-	}
-	col.Record(d.idx, trace, id, parent, int32(ev), kind, tier, flags, uint8(mode), int64(start), int64(end))
-	return err
+	return 0, 0, 0, false
 }
 
 // spanTierOf classifies which execution tier a super-handler represents:
@@ -113,12 +59,12 @@ func spanTierOf(sh *SuperHandler) uint8 {
 	return uint8(span.TierFast)
 }
 
-// spanNoteTier credits the innermost open span with the tier that ran
-// it. One plain-field branch when tracing is off or the activation is
-// unsampled. Caller holds runMu.
-func (d *Domain) spanNoteTier(tier uint8) {
+// spanNoteTier credits the innermost open span with the tier of the
+// super-handler that ran it. One plain-field branch when tracing is off
+// or the activation is unsampled. Caller holds runMu.
+func (d *Domain) spanNoteTier(sh *SuperHandler) {
 	if d.curTrace != 0 {
-		d.spanTier = tier
+		d.spanTier = spanTierOf(sh)
 	}
 }
 

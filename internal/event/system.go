@@ -48,12 +48,12 @@ type Counters struct {
 
 	// Async chain-merging counters (coalesce.go). The X-domain pair
 	// counts cross-domain captures: raises of covered segments owned by
-	// another domain, handed off into that domain's continuation slot
-	// (or enqueued there when its guard failed). Both are credited to
-	// the raising domain, like Coalesced/CoalesceFallbacks.
+	// another domain, captured into that domain's continuation FIFO (or
+	// enqueued there when its guard failed). Both are credited to the
+	// raising domain, like Coalesced/CoalesceFallbacks.
 	Coalesced         atomic.Int64 // async raises captured as pending continuations
 	CoalesceFallbacks atomic.Int64 // coalesce attempts that fell back to a real enqueue
-	XDomainHandoffs   atomic.Int64 // cross-domain raises captured into a handoff slot
+	XDomainHandoffs   atomic.Int64 // cross-domain raises captured into the target's continuation FIFO
 	XDomainFallbacks  atomic.Int64 // cross-domain captures that fell back to a real enqueue
 
 	// Supervision counters (fault.go). All zero under the default
@@ -232,13 +232,6 @@ type System struct {
 	table atomic.Pointer[[]*eventRec]   // lock-free ID -> record table
 	names atomic.Pointer[map[string]ID] // lock-free name -> ID table
 
-	// pubGen counts registry publishes (bind/unbind/delete/define) and
-	// fast-path installs/removals. The batched drain loop keys its hoisted
-	// registry resolution on it: any bump invalidates the cache, so a
-	// batch can reuse one resolution across same-event activations without
-	// weakening the guards (domain.go runBatch).
-	pubGen atomic.Uint64
-
 	noPool bool // test hook: disable activation pooling (oracle runs)
 
 	domains []*Domain
@@ -249,9 +242,10 @@ type System struct {
 	fault   faultShared // shared supervision config (fault.go)
 	haltErr func(error) // reporter for raise errors on async paths
 
-	tel   *telemetry.Telemetry // live observability layer; nil unless enabled
-	spans *span.Collector      // causal span tracing; nil unless enabled
-	slo   *telemetry.Watchdog  // SLO burn-rate watchdog; nil unless enabled
+	tel      *telemetry.Telemetry // live observability layer; nil unless enabled
+	spans    *span.Collector      // causal span tracing; nil unless enabled
+	observed bool                 // tel or spans is on: dispatch takes the observation bracket
+	slo      *telemetry.Watchdog  // SLO burn-rate watchdog; nil unless enabled
 
 	sloEvent ID // the synthetic slo.breach event (when the watchdog is on)
 
@@ -298,12 +292,12 @@ func WithDomains(n int) Option {
 }
 
 // WithBatchDrain sets the drain batch size K: each domain's Run loop
-// (and DrainBatched) pulls up to K runnable activations per queue-lock
-// acquisition and per wakeup, with the registry resolution hoisted
-// across consecutive same-event activations of a batch. K <= 1 keeps
-// the historical one-activation-per-acquisition loop (K <= 0 is
-// clamped to unbatched). Step and Drain are unaffected: deterministic
-// single-step sweeps stay byte-identical to the unbatched runtime.
+// pumps up to K runnable activations per queue-lock acquisition, and
+// each activation of a batch runs exactly as it would alone. K <= 1
+// keeps the one-activation-per-acquisition loop (K <= 0 is clamped to
+// unbatched). Step, Drain and DrainBatched take their batch size from
+// the call, not from this option: deterministic single-step sweeps stay
+// byte-identical to the unbatched runtime.
 //
 // An explicit WithBatchDrain is a manual pin: the adaptive controller's
 // per-domain K-tuning (internal/adaptive) leaves pinned domains alone.
@@ -355,6 +349,7 @@ func New(opts ...Option) *System {
 	if s.wantSpans {
 		s.spans = span.NewCollector(n, s.wantSpanCfg)
 	}
+	s.observed = s.tel != nil || s.spans != nil
 	if s.wantSLO {
 		s.initSLO()
 	}

@@ -25,66 +25,6 @@ func (s *System) Telemetry() *telemetry.Telemetry { return s.tel }
 // TelemetryEnabled reports whether the telemetry layer is active.
 func (s *System) TelemetryEnabled() bool { return s.tel != nil }
 
-// dispatchTimed is the telemetry-instrumented dispatch wrapper: it feeds
-// the continuous graph and — for activations selected by the hashed
-// 1-in-TimeSampleEvery draw — times the activation into the event's
-// latency histogram and, at top level, appends a flight-recorder record
-// with the activation's outcome. Faulted activations are recorded in the
-// flight ring regardless of the draw (with Duration 0 when unsampled),
-// and any dump the activation's faults requested is taken last, so the
-// ring already contains the faulted activation when it is captured. The
-// unsampled path costs two scalar counter bumps and a hash — that is
-// what keeps the telemetry overhead gate under its budget.
-//
-// The timing brackets are straight-line rather than deferred: under the
-// Propagate policy a handler panic unwinds through the raise and that
-// activation goes unrecorded, which is acceptable — the flight recorder
-// earns its keep under supervision, where panics are recovered.
-func (s *System) dispatchTimed(tel *telemetry.Telemetry, d *Domain, ev ID, mode Mode, args []Arg, depth int) error {
-	sampled := tel.RecordDispatch(d.idx, int32(ev), mode == Sync)
-	if depth > 0 {
-		if !sampled {
-			return s.dispatchCore(d, ev, mode, args, depth)
-		}
-		start := s.clock.Now()
-		err := s.dispatchCore(d, ev, mode, args, depth)
-		tel.RecordLatency(d.idx, int32(ev), int64(s.clock.Now()-start))
-		return err
-	}
-	df := &d.fault
-	faultsBefore := df.activationFaults
-	if df.lastCause != nil { // conditional: skip the write barrier on the common path
-		df.lastCause = nil
-	}
-	var start Duration
-	if sampled {
-		start = s.clock.Now()
-	}
-	err := s.dispatchCore(d, ev, mode, args, depth)
-	faulted := df.activationFaults > faultsBefore
-	if sampled || faulted {
-		end := s.clock.Now()
-		var dur int64
-		if sampled {
-			dur = int64(end - start)
-			tel.RecordLatency(d.idx, int32(ev), dur)
-		}
-		outcome := telemetry.OutcomeOK
-		var cause *string
-		if faulted {
-			outcome = telemetry.OutcomeFault
-			cause = df.lastCause
-		}
-		tel.RecordActivation(d.idx, int32(ev), uint8(mode), outcome, d.telAttempt, dur, int64(end), cause)
-	}
-	if d.telDumpReason != "" {
-		reason := d.telDumpReason
-		d.telDumpReason = ""
-		tel.DumpFlight(d.idx, reason)
-	}
-	return err
-}
-
 // noteFaultCause retains the first recovered panic of the current
 // top-level activation for the flight recorder. Fault path only; the
 // formatting allocation is acceptable there. Caller holds runMu.

@@ -46,8 +46,8 @@ const (
 	// retries were exhausted.
 	KindDeadLetter
 	// KindHandoff is an async raise captured into another domain's
-	// cross-domain handoff slot: a continuation hop that crossed a
-	// domain boundary without a queue round-trip.
+	// continuation FIFO: a continuation hop that crossed a domain
+	// boundary without a queue round-trip.
 	KindHandoff
 
 	numKinds
