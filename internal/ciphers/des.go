@@ -5,12 +5,21 @@
 // KeyedMD5Integrity micro-protocol of Fig. 2). Everything is implemented
 // from scratch; the tests cross-check DES and MD5 against the standard
 // library's implementations on random inputs.
+//
+// The DES block kernel is table-driven: the initial and final
+// permutations are eight byte-indexed lookups each, every S-box is fused
+// with the P permutation into one 64-entry table, the E expansion is a
+// rotation of the half block, and the round keys are split into 6-bit
+// S-box groups once per key, in both round orders. The bit-serial
+// permute only builds those tables, so a block costs about what
+// crypto/des charges.
 package ciphers
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // DESBlockSize is the DES block size in bytes.
@@ -147,7 +156,8 @@ var desSBox = [8][64]byte{
 }
 
 // permute maps the src bits selected by table (1-based, MSB-first over
-// width srcBits) into a new MSB-first value of len(table) bits.
+// width srcBits) into a new MSB-first value of len(table) bits. It builds
+// the lookup tables below and the key schedule; no block goes through it.
 func permute(src uint64, srcBits int, table []byte) uint64 {
 	var out uint64
 	for _, pos := range table {
@@ -157,10 +167,56 @@ func permute(src uint64, srcBits int, table []byte) uint64 {
 	return out
 }
 
+// A byte-indexed form of a 64-bit permutation: every output bit comes from
+// exactly one input bit, so permuting a block is the OR of what each of
+// its eight bytes contributes on its own, tab[i][byte i].
+type bytePerm [8][256]uint64
+
+func newBytePerm(table []byte) *bytePerm {
+	t := new(bytePerm)
+	for i := range t {
+		for b := range t[i] {
+			t[i][b] = permute(uint64(b)<<(56-8*uint(i)), 64, table)
+		}
+	}
+	return t
+}
+
+func (t *bytePerm) apply(v uint64) uint64 {
+	return t[0][v>>56] | t[1][byte(v>>48)] | t[2][byte(v>>40)] | t[3][byte(v>>32)] |
+		t[4][byte(v>>24)] | t[5][byte(v>>16)] | t[6][byte(v>>8)] | t[7][byte(v)]
+}
+
+// The initial and final permutations in byte-indexed form.
+var (
+	ipTab = newBytePerm(desIP[:])
+	fpTab = newBytePerm(desFP[:])
+)
+
+// spBox fuses each S-box with the P permutation: spBox[box][six] is the
+// P-permuted contribution of feeding the 6-bit value six into the box.
+// The round function then reduces to eight table lookups and XORs.
+var spBox [8][64]uint32
+
+func init() {
+	for box := 0; box < 8; box++ {
+		for six := 0; six < 64; six++ {
+			row := ((six & 0x20) >> 4) | (six & 1)
+			col := (six >> 1) & 0x0f
+			out := uint64(desSBox[box][row*16+col]) << (4 * (7 - uint(box)))
+			spBox[box][six] = uint32(permute(out, 32, desP[:]))
+		}
+	}
+}
+
+// roundKeys holds the 16 round keys of one direction, each split into the
+// eight 6-bit groups that feed the S-boxes, group 0 first.
+type roundKeys [16][8]uint32
+
 // DES is a from-scratch implementation of the Data Encryption Standard
 // (FIPS 46-3) on single 8-byte blocks.
 type DES struct {
-	subkeys [16]uint64 // 48-bit round keys
+	enc, dec roundKeys // dec is enc in reverse round order
 }
 
 // NewDES builds the key schedule from an 8-byte key (parity bits are
@@ -181,92 +237,65 @@ func NewDES(key []byte) (*DES, error) {
 		c = rot28(c, desShifts[i])
 		dd = rot28(dd, desShifts[i])
 		combined := (uint64(c) << 28) | uint64(dd)
-		d.subkeys[i] = permute(combined, 56, desPC2[:])
+		sub := permute(combined, 56, desPC2[:]) // 48 bits
+		for g := 0; g < 8; g++ {
+			six := uint32(sub>>(6*uint(7-g))) & 0x3f
+			d.enc[i][g] = six
+			d.dec[15-i][g] = six
+		}
 	}
 	return d, nil
 }
 
-// spBox fuses each S-box with the P permutation: spBox[box][six] is the
-// P-permuted contribution of feeding the 6-bit value six into the box.
-// The round function then reduces to eight table lookups and XORs.
-var spBox [8][64]uint32
-
-func init() {
-	for box := 0; box < 8; box++ {
-		for six := 0; six < 64; six++ {
-			row := ((six & 0x20) >> 4) | (six & 1)
-			col := (six >> 1) & 0x0f
-			out := uint64(desSBox[box][row*16+col]) << (4 * (7 - uint(box)))
-			spBox[box][six] = uint32(permute(out, 32, desP[:]))
-		}
-	}
+// feistel is the DES round function on a 32-bit half block. S-box group g
+// reads the E-expanded bits 4g..4g+5 (1-based, MSB-first, wrapping at 32),
+// which a left rotation by 4g+5 brings to the low six bits.
+func feistel(r uint32, k *[8]uint32) uint32 {
+	return spBox[0][(bits.RotateLeft32(r, 5)^k[0])&0x3f] ^
+		spBox[1][(bits.RotateLeft32(r, 9)^k[1])&0x3f] ^
+		spBox[2][(bits.RotateLeft32(r, 13)^k[2])&0x3f] ^
+		spBox[3][(bits.RotateLeft32(r, 17)^k[3])&0x3f] ^
+		spBox[4][(bits.RotateLeft32(r, 21)^k[4])&0x3f] ^
+		spBox[5][(bits.RotateLeft32(r, 25)^k[5])&0x3f] ^
+		spBox[6][(bits.RotateLeft32(r, 29)^k[6])&0x3f] ^
+		spBox[7][(bits.RotateLeft32(r, 1)^k[7])&0x3f]
 }
 
-// expand computes the E expansion of a half block as eight 6-bit groups
-// packed MSB-first into 48 bits. The middle groups are consecutive bit
-// windows; the first and last wrap around.
-func expand(r uint32) uint64 {
-	x := uint64(((r&1)<<5)|(r>>27)) << 42 // positions 32,1..5
-	for i := 1; i <= 6; i++ {
-		six := uint64(r>>(32-uint(4*i+5))) & 0x3f // positions 4i..4i+5
-		x |= six << (6 * uint(7-i))
-	}
-	x |= uint64((r&0x1f)<<1 | r>>31) // positions 28..32,1
-	return x
-}
-
-// feistel is the DES round function on a 32-bit half block.
-func (d *DES) feistel(r uint32, subkey uint64) uint32 {
-	x := expand(r) ^ subkey
-	var out uint32
-	for box := 0; box < 8; box++ {
-		out ^= spBox[box][(x>>(uint(7-box)*6))&0x3f]
-	}
-	return out
-}
-
-func (d *DES) crypt(block uint64, decrypt bool) uint64 {
-	v := permute(block, 64, desIP[:])
+// crypt runs the 16 rounds under ks, two at a time so that the halves
+// never swap, between the initial and the final permutation.
+func crypt(block uint64, ks *roundKeys) uint64 {
+	v := ipTab.apply(block)
 	l, r := uint32(v>>32), uint32(v)
-	for i := 0; i < 16; i++ {
-		k := d.subkeys[i]
-		if decrypt {
-			k = d.subkeys[15-i]
-		}
-		l, r = r, l^d.feistel(r, k)
+	for i := 0; i < 16; i += 2 {
+		l ^= feistel(r, &ks[i])
+		r ^= feistel(l, &ks[i+1])
 	}
-	// Swap halves before the final permutation.
-	pre := uint64(r)<<32 | uint64(l)
-	return permute(pre, 64, desFP[:])
+	// The last round's output halves go to the final permutation swapped.
+	return fpTab.apply(uint64(r)<<32 | uint64(l))
 }
 
 // EncryptBlock encrypts one 8-byte block (dst and src may overlap).
 func (d *DES) EncryptBlock(dst, src []byte) {
-	binary.BigEndian.PutUint64(dst, d.crypt(binary.BigEndian.Uint64(src), false))
+	binary.BigEndian.PutUint64(dst, crypt(binary.BigEndian.Uint64(src), &d.enc))
 }
 
 // DecryptBlock decrypts one 8-byte block.
 func (d *DES) DecryptBlock(dst, src []byte) {
-	binary.BigEndian.PutUint64(dst, d.crypt(binary.BigEndian.Uint64(src), true))
+	binary.BigEndian.PutUint64(dst, crypt(binary.BigEndian.Uint64(src), &d.dec))
 }
 
 // EncryptCBC encrypts msg under CBC with the given 8-byte IV, applying
-// PKCS#7-style padding first. It returns a fresh ciphertext slice.
+// PKCS#7-style padding first. It returns a fresh ciphertext slice: the
+// padded copy of msg, encrypted in place.
 func (d *DES) EncryptCBC(iv, msg []byte) ([]byte, error) {
 	if len(iv) != DESBlockSize {
 		return nil, fmt.Errorf("ciphers: IV must be %d bytes", DESBlockSize)
 	}
-	p := Pad(msg, DESBlockSize)
-	out := make([]byte, len(p))
-	prev := make([]byte, DESBlockSize)
-	copy(prev, iv)
-	for i := 0; i < len(p); i += DESBlockSize {
-		var blk [DESBlockSize]byte
-		for j := 0; j < DESBlockSize; j++ {
-			blk[j] = p[i+j] ^ prev[j]
-		}
-		d.EncryptBlock(out[i:i+DESBlockSize], blk[:])
-		copy(prev, out[i:i+DESBlockSize])
+	out := Pad(msg, DESBlockSize)
+	prev := binary.BigEndian.Uint64(iv)
+	for i := 0; i < len(out); i += DESBlockSize {
+		prev = crypt(binary.BigEndian.Uint64(out[i:])^prev, &d.enc)
+		binary.BigEndian.PutUint64(out[i:], prev)
 	}
 	return out, nil
 }
@@ -280,14 +309,11 @@ func (d *DES) DecryptCBC(iv, ct []byte) ([]byte, error) {
 		return nil, fmt.Errorf("ciphers: ciphertext length %d not a positive multiple of %d", len(ct), DESBlockSize)
 	}
 	out := make([]byte, len(ct))
-	prev := make([]byte, DESBlockSize)
-	copy(prev, iv)
+	prev := binary.BigEndian.Uint64(iv)
 	for i := 0; i < len(ct); i += DESBlockSize {
-		d.DecryptBlock(out[i:i+DESBlockSize], ct[i:i+DESBlockSize])
-		for j := 0; j < DESBlockSize; j++ {
-			out[i+j] ^= prev[j]
-		}
-		copy(prev, ct[i:i+DESBlockSize])
+		c := binary.BigEndian.Uint64(ct[i:])
+		binary.BigEndian.PutUint64(out[i:], crypt(c, &d.dec)^prev)
+		prev = c
 	}
 	return Unpad(out, DESBlockSize)
 }

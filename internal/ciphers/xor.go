@@ -16,22 +16,26 @@ func NewXOR(key []byte) *XOR {
 // Apply XORs msg with the repeating key into a fresh slice.
 func (x *XOR) Apply(msg []byte) []byte {
 	out := make([]byte, len(msg))
-	if len(x.key) == 0 {
-		copy(out, msg)
-		return out
-	}
-	for i, b := range msg {
-		out[i] = b ^ x.key[i%len(x.key)]
-	}
+	copy(out, msg)
+	x.ApplyInPlace(out)
 	return out
 }
 
-// ApplyInPlace XORs msg with the repeating key in place.
+// ApplyInPlace XORs msg with the repeating key in place, one key-length
+// stride at a time.
 func (x *XOR) ApplyInPlace(msg []byte) {
-	if len(x.key) == 0 {
+	k := x.key
+	if len(k) == 0 {
 		return
 	}
+	for len(msg) >= len(k) {
+		m := msg[:len(k)]
+		for i, b := range k {
+			m[i] ^= b
+		}
+		msg = msg[len(k):]
+	}
 	for i := range msg {
-		msg[i] ^= x.key[i%len(x.key)]
+		msg[i] ^= k[i]
 	}
 }

@@ -130,8 +130,8 @@ func TestCoalesceFallbackDueTimer(t *testing.T) {
 }
 
 // TestCoalesceFallbackCrossDomain: an async-entry segment pinned to a
-// different, idle domain is captured into that domain's handoff slot —
-// not coalesced locally, not enqueued — and runs there on drain.
+// different, idle domain is captured into that domain's continuation
+// FIFO — not coalesced locally, not enqueued — and runs there on drain.
 func TestCoalesceFallbackCrossDomain(t *testing.T) {
 	s := New(WithDomains(2))
 	head, _, tailRuns := pipelineSH(t, s) // IDs alternate: head on domain 0, tail on domain 1

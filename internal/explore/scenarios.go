@@ -396,7 +396,7 @@ type AsyncPipelineCoverage struct {
 // produce super-handler covers the whole pipeline: its interior raise
 // of process is speculatively coalesced when domain 0's queue permits,
 // while the cross-domain raise of deliver is captured into domain 1's
-// handoff slot (or enqueued for real when domain 1 is busy). A rival
+// continuation FIFO (or enqueued for real when domain 1 is busy). A rival
 // thread raises process directly, forcing queue-not-empty fallbacks on
 // schedules where it gets ahead of the producer. Every schedule must observe the exact generic delivery
 // order and stats.
@@ -487,7 +487,7 @@ func AsyncPipelineScenario() (Scenario, *AsyncPipelineCoverage) {
 // equivalence check deliberately ignores; the test asserts both
 // branches were exercised so the proof is not vacuous.
 type XDomainPipelineCoverage struct {
-	Handoffs  int64 // continuations captured into a target domain's slot
+	Handoffs  int64 // continuations captured into a target domain's FIFO
 	Fallbacks int64 // cross-domain raises demoted to a real enqueue
 }
 
@@ -496,8 +496,8 @@ type XDomainPipelineCoverage struct {
 // relay (domain 1) ~> deliver (domain 0), chained through asynchronous
 // raises. The optimized variant installs an async-aware plan over the
 // whole pipeline, so both interior raises cross a domain edge: each is
-// captured into the target domain's handoff slot when that domain is
-// verifiably idle, and demoted to a real enqueue otherwise. A rival
+// captured into the target domain's continuation FIFO when that domain
+// is verifiably idle, and demoted to a real enqueue otherwise. A rival
 // thread raises relay directly, landing activations in domain 1's queue
 // so schedules exist where the handoff guard must refuse. Every
 // schedule must observe the exact generic delivery order and stats.

@@ -258,8 +258,8 @@ func TestCheckSchedBatchedCoalescedLog(t *testing.T) {
 }
 
 // TestCheckSchedHandoffLog: a cross-domain pipeline whose interior
-// raise is captured into the target domain's handoff slot produces a
-// log that passes every rule, and the log actually contains the
+// raise is captured into the target domain's continuation FIFO produces
+// a log that passes every rule, and the log actually contains the
 // handoff/continue pair on the receiving domain.
 func TestCheckSchedHandoffLog(t *testing.T) {
 	sr := NewSchedRecorder()
