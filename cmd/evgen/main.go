@@ -6,9 +6,6 @@
 //
 //	evgen -workload seccomm -o internal/codegen/gen/seccomm_gen.go
 //	evgen -workload seccomm -o ... -verify   # CI drift check, no write
-//	evgen -workload seccomm -pgo default.pgo # also export a pprof CPU
-//	                                         # profile from the plan's
-//	                                         # profiling run (go build -pgo)
 package main
 
 import (
@@ -31,17 +28,16 @@ func main() {
 		out      = flag.String("o", "", "output file (default stdout)")
 		pkg      = flag.String("pkg", "gen", "package name for the generated file")
 		verify   = flag.Bool("verify", false, "compare against -o instead of writing; exit 1 on drift")
-		pgoOut   = flag.String("pgo", "", "also write a pprof CPU profile exported from the workload's telemetry")
 	)
 	flag.Parse()
 
-	if err := run(*workload, *out, *pkg, *verify, *pgoOut); err != nil {
+	if err := run(*workload, *out, *pkg, *verify); err != nil {
 		fmt.Fprintf(os.Stderr, "evgen: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(workload, out, pkg string, verify bool, pgoOut string) error {
+func run(workload, out, pkg string, verify bool) error {
 	var (
 		sys  *event.System
 		mod  *hirrt.Module
@@ -77,15 +73,6 @@ func run(workload, out, pkg string, verify bool, pgoOut string) error {
 	}, sys, mod, plan)
 	if err != nil {
 		return err
-	}
-
-	if pgoOut != "" {
-		if err := writePGO(workload, pgoOut); err != nil {
-			return err
-		}
-		if out == "" && !verify {
-			return nil // -pgo alone: no source requested, skip the stdout dump
-		}
 	}
 
 	if verify {

@@ -22,8 +22,6 @@ func main() {
 		dot          = flag.Bool("dot", false, "emit DOT for the graphs")
 		parallel     = flag.Bool("parallel", false, "include the multi-domain throughput benchmark")
 		parallelJSON = flag.String("parallel-json", "", "write the parallel benchmark report to this file (implies -parallel)")
-		allocs       = flag.Bool("allocs", false, "include the hot-path allocation gate")
-		allocsJSON   = flag.String("allocs-json", "", "write the allocation report to this file (implies -allocs)")
 		telem        = flag.Bool("telemetry", false, "include the telemetry overhead gate")
 		telemJSON    = flag.String("telemetry-json", "", "write the telemetry overhead report to this file (implies -telemetry)")
 		adapt        = flag.Bool("adaptive", false, "include the adaptive optimizer convergence gate")
@@ -52,9 +50,9 @@ func main() {
 		return
 	}
 
-	frames, iters, msgs, xiters, ohFrames, praises, aops, tops, adops, bevents, cgiters, spops, xdevents := 400, 2000, 1000, 1000, 400, 400000, 20000, 200000, 20000, 120000, 20000, 200000, 100000
+	frames, iters, msgs, xiters, ohFrames, praises, tops, adops, bevents, cgiters, spops, xdevents := 400, 2000, 1000, 1000, 400, 400000, 200000, 20000, 120000, 20000, 200000, 100000
 	if *quick {
-		frames, iters, msgs, xiters, ohFrames, praises, aops, tops, adops, bevents, cgiters, spops, xdevents = 120, 400, 200, 250, 150, 60000, 5000, 50000, 5000, 40000, 5000, 50000, 30000
+		frames, iters, msgs, xiters, ohFrames, praises, tops, adops, bevents, cgiters, spops, xdevents = 120, 400, 200, 250, 150, 60000, 50000, 5000, 40000, 5000, 50000, 30000
 	}
 
 	step := func(name string, f func() error) {
@@ -93,28 +91,12 @@ func main() {
 			return rep.WriteJSON(f)
 		})
 	}
-	if *allocs || *allocsJSON != "" {
-		step("allocs", func() error {
-			rep, gateErr := bench.RunAllocs(os.Stdout, aops)
-			if *allocsJSON != "" && rep != nil {
-				f, err := os.Create(*allocsJSON)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := rep.WriteJSON(f); err != nil {
-					return err
-				}
-			}
-			return gateErr
-		})
-	}
 	if *telem || *telemJSON != "" {
 		step("telemetry", func() error {
 			// The telemetry delta is single-digit nanoseconds, so this gate
-			// needs far more iterations than the allocation gate to measure
-			// it above timer noise; each raise is ~150ns, so even the full
-			// count finishes in well under a second.
+			// needs a high iteration count to measure it above timer noise;
+			// each raise is ~150ns, so even the full count finishes in well
+			// under a second.
 			rep, gateErr := bench.RunTelemetry(os.Stdout, tops)
 			if *telemJSON != "" && rep != nil {
 				f, err := os.Create(*telemJSON)

@@ -43,7 +43,7 @@ const SpansGatePct = 10.0
 
 func spanSystems() (off, tel, spans func()) {
 	args := []event.Arg{{Name: "n", Val: 7}, {Name: "s", Val: "x"}}
-	handler := func(ctx *event.Ctx) { allocSink += ctx.Args.Int("n") }
+	handler := func(ctx *event.Ctx) { handlerSink += ctx.Args.Int("n") }
 
 	plain := event.New()
 	pev := plain.Define("hot")

@@ -15,7 +15,6 @@ import (
 
 	"eventopt/internal/core"
 	"eventopt/internal/ctp"
-	"eventopt/internal/event"
 	"eventopt/internal/profile"
 	"eventopt/internal/seccomm"
 	"eventopt/internal/trace"
@@ -27,12 +26,12 @@ var Workloads = []string{"seccomm", "videoplayer"}
 
 // SecCommEndpoint constructs the canonical seccomm endpoint used by the
 // generation recipe (the Fig. 12 configuration).
-func SecCommEndpoint(opts ...event.Option) (*seccomm.Endpoint, error) {
+func SecCommEndpoint() (*seccomm.Endpoint, error) {
 	return seccomm.New(seccomm.Config{
 		DESKey: []byte("8bytekey"),
 		XORKey: []byte{0x5A, 0xA5, 0x3C},
 		IV:     []byte("initvect"),
-	}, opts...)
+	})
 }
 
 // SecCommPlan profiles e with the Fig. 12 drive pattern (one priming
@@ -70,8 +69,8 @@ func SecCommPlan(e *seccomm.Endpoint) (*core.Plan, error) {
 
 // VideoPlayer constructs the canonical video player used by the
 // generation recipe (the Fig. 11 configuration).
-func VideoPlayer(opts ...event.Option) (*video.Player, error) {
-	return video.NewPlayer(ctp.DefaultConfig(), 25, 900, opts...)
+func VideoPlayer() (*video.Player, error) {
+	return video.NewPlayer(ctp.DefaultConfig(), 25, 900)
 }
 
 // VideoPlan profiles p over 200 frames (the Fig. 11 profiling run) and

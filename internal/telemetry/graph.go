@@ -141,3 +141,22 @@ func (t *Telemetry) Graph() GraphSnapshot {
 	})
 	return gs
 }
+
+// SanitizeEdge normalizes one sampled graph edge for downstream
+// consumers, applying the exact rules the offline profile lifter uses:
+// edges with an invalid endpoint or non-positive weight are dropped,
+// and the synchronous share is clamped into [0, Weight], so a sampling
+// artifact (a torn counter read, a wrapped decrement) can never smuggle
+// a negative weight into a plan.
+func SanitizeEdge(e GraphEdge) (GraphEdge, bool) {
+	if e.From < 0 || e.To < 0 || e.Weight <= 0 {
+		return GraphEdge{}, false
+	}
+	if e.SyncWeight < 0 {
+		e.SyncWeight = 0
+	}
+	if e.SyncWeight > e.Weight {
+		e.SyncWeight = e.Weight
+	}
+	return e, true
+}

@@ -8,7 +8,6 @@
 //	/flightrecorder  per-domain flight-recorder contents and the last automatic dump
 //	/optimizer       adaptive-optimizer state: installed plans (with provenance), fast paths
 //	/spans           causal span traces (?format=chrome for a Chrome trace export)
-//	/pgo             telemetry exported as a pprof CPU profile for `go build -pgo`
 //	/trace           Chrome trace-event JSON of the attached trace recorder
 //	/debug/pprof/    the standard Go profiling endpoints
 //
@@ -18,7 +17,6 @@
 package httpdebug
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -52,7 +50,6 @@ func New(sys *event.System, rec *trace.Recorder) *Server {
 	s.mux.HandleFunc("/flightrecorder", readOnly(s.flight))
 	s.mux.HandleFunc("/optimizer", readOnly(s.optimizer))
 	s.mux.HandleFunc("/spans", readOnly(s.spans))
-	s.mux.HandleFunc("/pgo", readOnly(s.pgo))
 	s.mux.HandleFunc("/trace", readOnly(s.trace))
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -215,24 +212,6 @@ func (s *Server) optimizer(w http.ResponseWriter, r *http.Request) {
 		doc.OptimizerSnapshot = *snap
 	}
 	writeJSON(w, doc)
-}
-
-// pgo serves the system's telemetry as a pprof CPU profile, ready to be
-// saved as default.pgo and fed to `go build -pgo`: profile-directed
-// optimization applied back to the Go compiler itself.
-func (s *Server) pgo(w http.ResponseWriter, r *http.Request) {
-	if s.sys.Telemetry() == nil {
-		http.Error(w, "telemetry disabled (system built without WithTelemetry)", http.StatusNotFound)
-		return
-	}
-	var buf bytes.Buffer
-	if err := s.sys.WritePGO(&buf); err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition", `attachment; filename="default.pgo"`)
-	_, _ = w.Write(buf.Bytes())
 }
 
 // SpansDoc is the /spans document: collector statistics, the retained

@@ -139,7 +139,7 @@ func TestDisabledTelemetry(t *testing.T) {
 	if w := get(t, srv, "/metrics"); w.Code != 200 {
 		t.Fatalf("/metrics without telemetry -> %d, want 200 (counters still served)", w.Code)
 	}
-	for _, path := range []string{"/events", "/graph", "/flightrecorder", "/optimizer", "/pgo", "/trace"} {
+	for _, path := range []string{"/events", "/graph", "/flightrecorder", "/optimizer", "/trace"} {
 		if w := get(t, srv, path); w.Code != 404 {
 			t.Fatalf("%s without telemetry -> %d, want 404", path, w.Code)
 		}
@@ -148,8 +148,7 @@ func TestDisabledTelemetry(t *testing.T) {
 
 // TestOptimizerFastPathsAndPGO covers the provenance surface: an
 // installed fast path appears in /optimizer's fast_paths with the tier
-// that produced it, and /pgo serves the telemetry as a gzipped pprof
-// profile.
+// that produced it.
 func TestOptimizerFastPathsAndPGO(t *testing.T) {
 	srv, s := newServer(t)
 	a := s.Lookup("req")
@@ -184,17 +183,6 @@ func TestOptimizerFastPathsAndPGO(t *testing.T) {
 		t.Fatalf("fast path = %+v, want req/generated", fp)
 	}
 
-	w = get(t, srv, "/pgo")
-	if w.Code != 200 {
-		t.Fatalf("/pgo -> %d: %s", w.Code, w.Body)
-	}
-	if ct := w.Header().Get("Content-Type"); ct != "application/octet-stream" {
-		t.Errorf("/pgo content type %q", ct)
-	}
-	body := w.Body.Bytes()
-	if len(body) < 2 || body[0] != 0x1f || body[1] != 0x8b {
-		t.Fatalf("/pgo body is not gzip (starts % x)", body[:min(4, len(body))])
-	}
 }
 
 func TestOptimizerEndpoint(t *testing.T) {

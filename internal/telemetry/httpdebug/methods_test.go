@@ -57,7 +57,6 @@ func TestEndpointMethodAndContentType(t *testing.T) {
 		{"/flightrecorder", "application/json"},
 		{"/optimizer", "application/json"},
 		{"/spans", "application/json"},
-		{"/pgo", "application/octet-stream"},
 		{"/trace", "application/json"},
 	}
 	for _, ep := range endpoints {

@@ -163,8 +163,10 @@ func ReadBinary(r io.Reader) ([]Entry, error) {
 	if nStr > maxStrings {
 		return nil, fmt.Errorf("trace: implausible string count %d", nStr)
 	}
-	table := make([]string, nStr)
-	for i := range table {
+	// The count is outside input: grow the table as strings arrive, so a
+	// few header bytes cannot make the reader allocate for 1<<24 strings.
+	table := make([]string, 0, min(nStr, 1024))
+	for i := uint64(0); i < nStr; i++ {
 		l, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, truncErr(fmt.Sprintf("string %d length", i), err)
@@ -176,7 +178,7 @@ func ReadBinary(r io.Reader) ([]Entry, error) {
 		if _, err := io.ReadFull(br, b); err != nil {
 			return nil, truncErr(fmt.Sprintf("string %d body", i), err)
 		}
-		table[i] = string(b)
+		table = append(table, string(b))
 	}
 	str := func(idx uint64) (string, error) {
 		if idx >= uint64(len(table)) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"eventopt/internal/event"
@@ -129,5 +130,58 @@ func TestReadBinaryTruncatedTyped(t *testing.T) {
 	bad[0] = 'X'
 	if _, err := ReadBinary(bytes.NewReader(bad)); err == nil || errors.Is(err, ErrTruncated) {
 		t.Errorf("bad magic: err = %v, want non-truncation error", err)
+	}
+}
+
+// FuzzReadBinary feeds arbitrary bytes to the binary trace reader,
+// which parses files handed in from outside (evprof -check -trace). It
+// must never panic, and any input it accepts must survive a
+// WriteBinary/ReadBinary round trip unchanged.
+func FuzzReadBinary(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, liveTrace(f)); err != nil {
+		f.Fatal(err)
+	}
+	raw := buf.Bytes()
+	f.Add(raw)
+	for _, cut := range []int{0, 4, 5, 6, len(raw) / 2, len(raw) - 1} {
+		f.Add(raw[:cut])
+	}
+	bad := append([]byte(nil), raw...)
+	bad[0] = 'X'
+	f.Add(bad)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		entries, err := ReadBinary(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteBinary(&out, entries); err != nil {
+			t.Fatalf("rewrite: %v", err)
+		}
+		again, err := ReadBinary(&out)
+		if err != nil {
+			t.Fatalf("rewritten trace rejected: %v", err)
+		}
+		if !reflect.DeepEqual(entries, again) {
+			t.Fatalf("round trip changed entries:\n in=%+v\nout=%+v", entries, again)
+		}
+	})
+}
+
+// TestReadBinaryHugeStringCount: a header that claims the maximum string
+// count but carries no strings must fail as truncated without the reader
+// allocating for the claimed table.
+func TestReadBinaryHugeStringCount(t *testing.T) {
+	in := append([]byte("EVTR\x02"), binary.AppendUvarint(nil, 1<<24)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("err = %v, want ErrTruncated", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("reader allocated %d bytes for a %d-byte input", grew, len(in))
 	}
 }

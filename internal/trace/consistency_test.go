@@ -11,7 +11,7 @@ import (
 // returns its entries: nested synchronous raises, asynchronous
 // cross-domain handoffs and a timed activation, so every structural
 // rule of the checker sees real input.
-func liveTrace(t *testing.T) []Entry {
+func liveTrace(t testing.TB) []Entry {
 	t.Helper()
 	s := event.New(event.WithDomains(2), event.WithClock(event.NewVirtualClock()))
 	a := s.Define("A")
