@@ -623,7 +623,7 @@ func (g *generator) emitInstr(b *bytes.Buffer, env *factoryEnv, plan *emitPlan, 
 			site := len(env.raiseScr)
 			env.raiseScr = append(env.raiseScr, len(in.Args))
 			for i, r := range in.Args {
-				fmt.Fprintf(b, "\t\t\tra%d[%d] = event.Arg{Name: %q, Val: hirrt.FromValue(r%d)}\n", site, i, in.ArgNames[i], r)
+				fmt.Fprintf(b, "\t\t\tra%d[%d] = hirrt.ArgOf(%q, r%d)\n", site, i, in.ArgNames[i], r)
 			}
 			argExpr = fmt.Sprintf(", ra%d...", site)
 		}

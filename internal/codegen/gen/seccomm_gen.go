@@ -180,7 +180,7 @@ func mkSeccomm2(m *hirrt.Module) (event.HandlerFunc, error) {
 		}
 		r5 = hir.IntVal(1)
 		if ev0 != event.NoID {
-			ra0[0] = event.Arg{Name: "n", Val: hirrt.FromValue(r5)}
+			ra0[0] = hirrt.ArgOf("n", r5)
 			ctx.RaiseAsync(ev0, ra0...)
 		}
 		goto b4

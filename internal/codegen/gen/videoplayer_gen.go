@@ -607,7 +607,7 @@ func mkVideoplayer10(m *hirrt.Module) (event.HandlerFunc, error) {
 		ca2[2] = r22
 		in2.Fn(ca2)
 		if ev0 != event.NoID {
-			ra0[0] = event.Arg{Name: "seq", Val: hirrt.FromValue(r19)}
+			ra0[0] = hirrt.ArgOf("seq", r19)
 			ctx.RaiseAsync(ev0, ra0...)
 		}
 	b3:
@@ -952,9 +952,9 @@ func mkVideoplayer21(m *hirrt.Module) (event.HandlerFunc, error) {
 		r7 = st1.Get()
 		r8 = hir.IntVal(0)
 		if ev0 != event.NoID {
-			ra0[0] = event.Arg{Name: "seg", Val: hirrt.FromValue(r0)}
-			ra0[1] = event.Arg{Name: "seq", Val: hirrt.FromValue(r7)}
-			ra0[2] = event.Arg{Name: "fec", Val: hirrt.FromValue(r8)}
+			ra0[0] = hirrt.ArgOf("seg", r0)
+			ra0[1] = hirrt.ArgOf("seq", r7)
+			ra0[2] = hirrt.ArgOf("fec", r8)
 			ctx.Raise(ev0, ra0...)
 		}
 		r9 = st2.Get()
@@ -970,9 +970,9 @@ func mkVideoplayer21(m *hirrt.Module) (event.HandlerFunc, error) {
 		r17 = hir.AddValues(r15, r16)
 		st1.Set(r17)
 		if ev0 != event.NoID {
-			ra1[0] = event.Arg{Name: "seg", Val: hirrt.FromValue(r14)}
-			ra1[1] = event.Arg{Name: "seq", Val: hirrt.FromValue(r17)}
-			ra1[2] = event.Arg{Name: "fec", Val: hirrt.FromValue(r16)}
+			ra1[0] = hirrt.ArgOf("seg", r14)
+			ra1[1] = hirrt.ArgOf("seq", r17)
+			ra1[2] = hirrt.ArgOf("fec", r16)
 			ctx.Raise(ev0, ra1...)
 		}
 		r19 = hir.IntVal(0)
@@ -1058,7 +1058,7 @@ func mkVideoplayer22(m *hirrt.Module) (event.HandlerFunc, error) {
 		ca2[2] = r22
 		in2.Fn(ca2)
 		if ev0 != event.NoID {
-			ra0[0] = event.Arg{Name: "seq", Val: hirrt.FromValue(r19)}
+			ra0[0] = hirrt.ArgOf("seq", r19)
 			ctx.RaiseAsync(ev0, ra0...)
 		}
 	b3:
@@ -1099,9 +1099,9 @@ func mkVideoplayer23(m *hirrt.Module) (event.HandlerFunc, error) {
 		r7 = st1.Get()
 		r8 = hir.IntVal(0)
 		if ev0 != event.NoID {
-			ra0[0] = event.Arg{Name: "seg", Val: hirrt.FromValue(r0)}
-			ra0[1] = event.Arg{Name: "seq", Val: hirrt.FromValue(r7)}
-			ra0[2] = event.Arg{Name: "fec", Val: hirrt.FromValue(r8)}
+			ra0[0] = hirrt.ArgOf("seg", r0)
+			ra0[1] = hirrt.ArgOf("seq", r7)
+			ra0[2] = hirrt.ArgOf("fec", r8)
 			ctx.Raise(ev0, ra0...)
 		}
 		r9 = st2.Get()
@@ -1117,9 +1117,9 @@ func mkVideoplayer23(m *hirrt.Module) (event.HandlerFunc, error) {
 		r17 = hir.AddValues(r15, r16)
 		st1.Set(r17)
 		if ev0 != event.NoID {
-			ra1[0] = event.Arg{Name: "seg", Val: hirrt.FromValue(r14)}
-			ra1[1] = event.Arg{Name: "seq", Val: hirrt.FromValue(r17)}
-			ra1[2] = event.Arg{Name: "fec", Val: hirrt.FromValue(r16)}
+			ra1[0] = hirrt.ArgOf("seg", r14)
+			ra1[1] = hirrt.ArgOf("seq", r17)
+			ra1[2] = hirrt.ArgOf("fec", r16)
 			ctx.Raise(ev0, ra1...)
 		}
 		r19 = hir.IntVal(0)
@@ -1205,7 +1205,7 @@ func mkVideoplayer24(m *hirrt.Module) (event.HandlerFunc, error) {
 		ca2[2] = r22
 		in2.Fn(ca2)
 		if ev0 != event.NoID {
-			ra0[0] = event.Arg{Name: "seq", Val: hirrt.FromValue(r19)}
+			ra0[0] = hirrt.ArgOf("seq", r19)
 			ctx.RaiseAsync(ev0, ra0...)
 		}
 	b3:

@@ -197,7 +197,7 @@ func (s *Sender) SendFrame(data []byte, highPriority bool) {
 	if highPriority {
 		ev = s.Ev.MsgFromUserH
 	}
-	s.Sys.Raise(ev, event.A("msg", data), event.A("size", len(data)))
+	s.Sys.Raise(ev, event.Bytes("msg", data), event.Int("size", len(data)))
 }
 
 // Inflight reports the current number of unacknowledged segments as seen

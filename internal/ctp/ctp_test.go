@@ -77,6 +77,33 @@ func TestFragmentation(t *testing.T) {
 	}
 }
 
+// TestFragmentsArriveWithoutSpareCapacity: fragHandler raises
+// msg[off:end], whose spare capacity is the next fragment. Each segment
+// must arrive with cap == len, so a SegFromUser handler that appends to
+// its segment reallocates instead of overwriting the following one.
+func TestFragmentsArriveWithoutSpareCapacity(t *testing.T) {
+	s := newTestSender(t, func(c *Config) { c.MTU = 100 })
+	s.Sys.Bind(s.Ev.SegFromUser, "grow", func(c *event.Ctx) {
+		seg := c.Args.Bytes("seg")
+		if cap(seg) != len(seg) {
+			t.Errorf("segment of %d bytes arrived with cap %d", len(seg), cap(seg))
+		}
+		_ = append(seg, 0xEE)
+	}, event.WithOrder(0))
+	var got []byte
+	s.OnDeliver(func(seq int64, p []byte) { got = append(got, p...) })
+	frame := make([]byte, 250)
+	for i := range frame {
+		frame[i] = byte(i)
+	}
+	want := bytes.Clone(frame)
+	s.SendFrame(frame, false)
+	s.Sys.Drain()
+	if !bytes.Equal(frame, want) || !bytes.Equal(got, want) {
+		t.Fatal("a segment handler's append overwrote the next fragment")
+	}
+}
+
 func TestEmptyFrameStillMakesOneSegment(t *testing.T) {
 	s := newTestSender(t, nil)
 	n := 0

@@ -28,5 +28,5 @@ func (l *link) transmit(seq int64, payload []byte, parity bool) {
 	if s.onSegment != nil {
 		s.onSegment(seq, append([]byte(nil), payload...), parity)
 	}
-	s.Sys.RaiseAfter(s.Cfg.RTT, s.Ev.SegmentAcked, event.A("seq", seq))
+	s.Sys.RaiseAfter(s.Cfg.RTT, s.Ev.SegmentAcked, event.Int64("seq", seq))
 }

@@ -80,7 +80,7 @@ func (s *Sender) fragHandler(c *event.Ctx) {
 	msg := c.Args.Bytes("msg")
 	mtu := s.Cfg.MTU
 	if len(msg) == 0 {
-		c.Raise(s.Ev.SegFromUser, event.A("seg", []byte{}), event.A("len", 0))
+		c.Raise(s.Ev.SegFromUser, event.Bytes("seg", []byte{}), event.Int("len", 0))
 		return
 	}
 	for off := 0; off < len(msg); off += mtu {
@@ -90,7 +90,7 @@ func (s *Sender) fragHandler(c *event.Ctx) {
 		}
 		frag := msg[off:end]
 		s.Stats.Segments++
-		c.Raise(s.Ev.SegFromUser, event.A("seg", frag), event.A("len", len(frag)))
+		c.Raise(s.Ev.SegFromUser, event.Bytes("seg", frag), event.Int("len", len(frag)))
 	}
 }
 
@@ -302,7 +302,7 @@ func (s *Sender) bindReliability() {
 func (s *Sender) armRTO(seq int64, payload []byte, parity bool, attempt int) {
 	s.segs[seq] = inflightSeg{payload: append([]byte(nil), payload...), parity: parity}
 	s.rto[seq] = s.Sys.RaiseAfter(s.Cfg.RetransmitTimeout, s.Ev.SegmentTimeout,
-		event.A("seq", seq), event.A("attempt", attempt))
+		event.Int64("seq", seq), event.Int("attempt", attempt))
 }
 
 // bindController installs the congestion controller and adaptation

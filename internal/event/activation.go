@@ -20,13 +20,22 @@ const inlineArgs = 4
 // activation (including its retry decision) completes. Nothing may
 // retain a record or alias its argument storage across that release:
 // dispatch copies arguments into per-domain scratch before any handler
-// runs, retries clone into their timer entry, and dead-letter metadata
+// runs, retries copy into their timer entry, and dead-letter metadata
 // is built fresh — so a recycled record can never mutate under a reader.
 type activation struct {
 	ev      ID
+	attempt int32 // prior retry attempts of this activation
 	mode    Mode
-	attempt int    // prior retry attempts of this activation
-	fire    func() // internal timer callback; runs instead of a dispatch
+
+	// csh/cidx carry the continuation hint of a coalesced asynchronous
+	// raise: the super-handler and segment index the raise should execute
+	// through directly instead of the generic route (coalesce.go). Both
+	// are best-effort — the segment guard is re-checked when the
+	// continuation runs — and pool zeroing clears them.
+	cidx int32
+	csh  *SuperHandler
+
+	fire func() // internal timer callback; runs instead of a dispatch
 
 	// enqAt stamps the enqueue time when telemetry is enabled (enqSet
 	// gates validity); the scheduler pop turns it into a queue-delay
@@ -34,58 +43,47 @@ type activation struct {
 	enqAt  Duration
 	enqSet bool
 
-	// csh/cidx carry the continuation hint of a coalesced asynchronous
-	// raise: the super-handler and segment index the raise should execute
-	// through directly instead of the generic route (coalesce.go). Both
-	// are best-effort — the segment guard is re-checked when the
-	// continuation runs — and pool zeroing clears them.
-	csh  *SuperHandler
-	cidx int
-
 	// trace/pspan/skind carry the causal span context of a sampled trace
 	// across the scheduler handoff (span.go): the trace ID, the raising
 	// span's ID, and the hop kind (span.Kind) the activation's own span
 	// records. Zero trace means the activation is not part of a sampled
 	// trace. Fixed-size words, cleared by pool zeroing.
+	skind uint8
 	trace uint64
 	pspan uint64
-	skind uint8
 
-	nargs   int
-	spilled bool
-	inline  [inlineArgs]Arg
-	spill   []Arg // owned clone, used only when nargs > inlineArgs
+	args argBuf
 }
 
-// args returns the record's argument view. The slice aliases record
-// storage: callers must copy (or clone) before the record is released.
-func (a *activation) args() []Arg {
-	if a.spilled {
-		return a.spill
+// argBuf is the owned argument storage of a queued activation or an
+// armed timer: inline up to inlineArgs, a private clone beyond. Moving a
+// buffer (a struct copy) moves ownership of its spill with it.
+type argBuf struct {
+	n      int
+	inline [inlineArgs]Arg
+	spill  []Arg // owned clone, non-nil only when n > inlineArgs
+}
+
+// get returns the buffer's argument view. The slice aliases the
+// buffer's storage: callers must copy (or clone) before it is released.
+func (b *argBuf) get() []Arg {
+	if b.spill != nil {
+		return b.spill
 	}
-	return a.inline[:a.nargs]
+	return b.inline[:b.n]
 }
 
-// setArgs copies the caller's arguments into the record: inline up to
+// set copies the caller's arguments into the buffer: inline up to
 // inlineArgs, a fresh clone beyond. The incoming slice is never retained,
 // so callers' variadic slices stay on their stacks.
-func (a *activation) setArgs(args []Arg) {
-	a.nargs = len(args)
+func (b *argBuf) set(args []Arg) {
+	b.n = len(args)
 	if len(args) <= inlineArgs {
-		copy(a.inline[:], args)
-		a.spilled = false
+		copy(b.inline[:], args)
+		b.spill = nil
 	} else {
-		a.spill = cloneArgs(args)
-		a.spilled = true
+		b.spill = cloneArgs(args)
 	}
-}
-
-// adoptArgs transfers ownership of an already-owned slice (a timer
-// entry's cloned arguments) into the record without copying.
-func (a *activation) adoptArgs(args []Arg) {
-	a.nargs = len(args)
-	a.spilled = true
-	a.spill = args
 }
 
 // actPool recycles activation records across all Systems. Get/Put are

@@ -2,6 +2,8 @@ package event
 
 import (
 	"testing"
+	"time"
+	"unsafe"
 
 	"eventopt/internal/span"
 	"eventopt/internal/telemetry"
@@ -358,6 +360,75 @@ func TestAllocRegression(t *testing.T) {
 		}
 	})
 
+	t.Run("DelayedRaiseFire", func(t *testing.T) {
+		// A timed raise copies its arguments into a recycled timer entry
+		// and the fire moves them into a pooled activation record; once
+		// the domain's free list holds an entry, arm plus fire on a
+		// virtual clock allocates nothing.
+		s := New(WithClock(NewVirtualClock()))
+		ev := s.Define("tick")
+		sink := 0
+		s.Bind(ev, "h", func(ctx *Ctx) { sink += ctx.Args.Int("n") })
+		s.RaiseAfter(time.Millisecond, ev, args...)
+		s.Drain()
+		if got := testing.AllocsPerRun(200, func() {
+			s.RaiseAfter(time.Millisecond, ev, args...)
+			s.Drain()
+		}); got != 0 {
+			t.Errorf("delayed raise+fire: %.1f allocs/op, want 0", got)
+		}
+		if sink != 7*202 {
+			t.Fatalf("handler saw n summed to %d, want %d", sink, 7*202)
+		}
+	})
+
+	t.Run("DelayedRaiseCancel", func(t *testing.T) {
+		// Cancel flags the entry under the domain's queue lock; the drop
+		// off the heap top releases it for the next arm.
+		s := New(WithClock(NewVirtualClock()))
+		ev := s.Define("tick")
+		s.Bind(ev, "h", func(ctx *Ctx) { t.Error("a canceled timer fired") })
+		s.RaiseAfter(time.Millisecond, ev, args...).Cancel()
+		s.Drain()
+		if got := testing.AllocsPerRun(200, func() {
+			tm := s.RaiseAfter(time.Millisecond, ev, args...)
+			if !tm.Cancel() {
+				t.Error("Cancel of an armed timer reported false")
+			}
+			s.Drain()
+		}); got != 0 {
+			t.Errorf("delayed raise+cancel: %.1f allocs/op, want 0", got)
+		}
+	})
+
+	t.Run("UnboxedArgs", func(t *testing.T) {
+		// Int64 and Bytes words travel unboxed: building them, marshaling
+		// them and reading them back through Args.Int64/Bytes allocates
+		// nothing, whatever the integer's magnitude.
+		s := New()
+		ev := s.Define("hot")
+		payload := make([]byte, 64)
+		var seqSum int64
+		var lenSum int
+		s.Bind(ev, "h", func(ctx *Ctx) {
+			seqSum += ctx.Args.Int64("seq")
+			lenSum += len(ctx.Args.Bytes("seg"))
+		}, WithParams("seq", "seg"))
+		seq := int64(1) << 40
+		if err := s.Raise(ev, Int64("seq", seq), Bytes("seg", payload)); err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(200, func() {
+			seq++
+			_ = s.Raise(ev, Int64("seq", seq), Bytes("seg", payload))
+		}); got != 0 {
+			t.Errorf("sync raise with unboxed args: %.1f allocs/op, want 0", got)
+		}
+		if lenSum != 64*202 || seqSum < 202<<40 {
+			t.Fatalf("handler read seq sum %d, len sum %d", seqSum, lenSum)
+		}
+	})
+
 	t.Run("SpannedAsyncRaiseStep", func(t *testing.T) {
 		// Trace propagation through the queue rides the pooled activation
 		// record — the async budget stays at one object per activation.
@@ -385,3 +456,23 @@ type countingTracer struct{}
 func (countingTracer) Event(ID, string, Mode, int, int)          {}
 func (countingTracer) HandlerEnter(ID, string, string, int, int) {}
 func (countingTracer) HandlerExit(ID, string, string, int, int)  {}
+
+// TestHotRecordLayout pins the sizes that keep the scheduler's hot
+// records cache-friendly on 64-bit targets. An activation record fits
+// the 256-byte size class (four whole cache lines; the unboxed argument
+// word must not push it into the next class), and a dispatch slot is a
+// whole number of cache lines, so the slots that two domains write from
+// two cores never share a line. Adjust dispatchSlot's padding when Ctx
+// or chainExec change size.
+func TestHotRecordLayout(t *testing.T) {
+	const cacheLine = 64 // x86-64 and most arm64 cores
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout targets 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(activation{}); n > 256 {
+		t.Errorf("activation is %d bytes, want <= 256", n)
+	}
+	if n := unsafe.Sizeof(dispatchSlot{}); n%cacheLine != 0 {
+		t.Errorf("dispatchSlot is %d bytes, not a multiple of %d", n, cacheLine)
+	}
+}

@@ -67,7 +67,7 @@ func (ce *chainExec) dispatchNestedAsync(c *Ctx, ev ID, args []Arg) bool {
 	}
 	a := s.getAct()
 	a.ev, a.mode = ev, Async
-	a.setArgs(args)
+	a.args.set(args)
 	if s.spans != nil && d.curTrace != 0 {
 		// Stamp the raising span's context: the continuation (or the
 		// fallback enqueue) records a child span either way.
@@ -86,7 +86,7 @@ func (ce *chainExec) dispatchNestedAsync(c *Ctx, ev ID, args []Arg) bool {
 		t.enqueueAct(a)
 		return true
 	}
-	a.csh, a.cidx = sh, idx
+	a.csh, a.cidx = sh, int32(idx)
 	t.cont = append(t.cont, a)
 	if h := s.sched; h != nil {
 		h.Sched(point, t.idx, ev, sh.Segments[idx].Version)

@@ -49,7 +49,7 @@ func (s *System) RaiseAsync(ev ID, args ...Arg) {
 // counts prior executions of the same activation under the retry
 // policy; an activation that recovered at least one handler panic is
 // handed to the retry machinery once the atomicity lock is released.
-// The retry path clones the record's arguments into its timer entry, so
+// The retry path copies the record's arguments into its timer entry, so
 // the release never exposes aliased storage.
 func (d *Domain) runTop(a *activation) {
 	s := d.sys
@@ -73,10 +73,10 @@ func (d *Domain) runTop(a *activation) {
 		d.runMu.Lock()
 		defer d.runMu.Unlock()
 		d.fault.activationFaults = 0
-		d.telAttempt = a.attempt
+		d.telAttempt = int(a.attempt)
 		d.pendTrace, d.pendSpan, d.pendKind = a.trace, a.pspan, a.skind
 		d.lastSpanTrace = 0 // set again by a traced dispatch
-		_ = s.dispatch(d, a.ev, a.mode, a.args(), 0, sh, a.cidx)
+		_ = s.dispatch(d, a.ev, a.mode, a.args.get(), 0, sh, int(a.cidx))
 		faults = d.fault.activationFaults
 		d.fault.activationFaults = 0
 		if faults > 0 {
@@ -84,7 +84,7 @@ func (d *Domain) runTop(a *activation) {
 		}
 	}()
 	if faults > 0 {
-		d.maybeRetry(a.ev, a.mode, a.args(), a.attempt, ftrace, fspan)
+		d.maybeRetry(a.ev, a.mode, a.args.get(), int(a.attempt), ftrace, fspan)
 	}
 	s.putAct(a)
 }
@@ -341,7 +341,7 @@ func (d *Domain) generic(snap *bindingSnapshot, ev ID, mode Mode, args []Arg, de
 		// (3) Per-handler parameter resolution (unmarshaling): resolve
 		// each declared parameter by name before the call.
 		for _, p := range h.Params {
-			a.Lookup(p)
+			a.Get(p)
 		}
 		if n := len(h.Params); n > 0 {
 			d.stats.ArgResolves.Add(int64(n))

@@ -32,7 +32,7 @@ type Domain struct {
 	q        actRing    // run queue: pooled activation records in a ring
 	timers   timerHeap
 	tseq     uint64
-	canceled int            // canceled-but-unpopped timers (compaction trigger)
+	canceled int            // canceled timers still in the heap
 	qcap     int            // run-queue capacity (0 = unbounded)
 	qpolicy  OverflowPolicy // applied when the bounded queue is full
 	wake     chan struct{}  // nudges run loops when work arrives; never nil
@@ -88,6 +88,8 @@ type Domain struct {
 	pendKind                  uint8
 	spanTier, spanFlags       uint8
 	lastSpanTrace, lastSpanID uint64
+
+	tfree []*timerEntry // released timer entries kept for reuse, guarded by qmu
 }
 
 // dispatchSlot is the dispatch scratch of one synchronous nesting depth
@@ -96,9 +98,15 @@ type Domain struct {
 // execution in a domain is serialized by runMu and at most one
 // activation is live per depth, so steady-state dispatch — generic or
 // optimized — allocates nothing.
+//
+// The slots of different domains are written by different cores, so a
+// slot is padded to a whole number of cache lines (TestHotRecordLayout
+// checks it on 64-bit targets): its size class then keeps it
+// line-aligned, and two domains' slots never share a line.
 type dispatchSlot struct {
 	ctx Ctx
 	ce  chainExec
+	_   [56]byte
 }
 
 // slot returns the scratch of nesting depth, growing the stack on first
@@ -392,13 +400,7 @@ func (s *System) TimerCount() int {
 	n := 0
 	for _, d := range s.domains {
 		d.qmu.Lock()
-		for _, e := range d.timers {
-			e.mu.Lock()
-			if !e.done {
-				n++
-			}
-			e.mu.Unlock()
-		}
+		n += len(d.timers) - d.canceled
 		d.qmu.Unlock()
 	}
 	return n

@@ -60,8 +60,16 @@ func (c *VirtualClock) advanceTo(t Duration) {
 	c.mu.Unlock()
 }
 
-// Timer is the cancellation token of a delayed activation.
-type Timer struct{ e *timerEntry }
+// Timer is the cancellation token of a delayed activation: a handle on a
+// recycled timer entry plus the generation the entry had when it was
+// armed. Every release of an entry (fired, or dropped after a cancel)
+// bumps its generation under the owning domain's qmu, so a handle that
+// outlives its activation — even one whose entry now carries another
+// timer — is a safe no-op.
+type Timer struct {
+	e   *timerEntry
+	gen uint64
+}
 
 // Cancel revokes the delayed activation if it has not fired yet; it
 // reports whether the cancellation took effect. Canceled entries are
@@ -72,18 +80,18 @@ func (t Timer) Cancel() bool {
 	if t.e == nil {
 		return false
 	}
-	t.e.mu.Lock()
-	if t.e.done {
-		t.e.mu.Unlock()
-		return false
+	d := t.e.dom
+	d.qmu.Lock()
+	ok := t.e.gen == t.gen && !t.e.done
+	if ok {
+		t.e.done = true
+		d.canceled++
+		if d.canceled >= 64 && d.canceled*2 >= len(d.timers) {
+			d.compactTimersLocked()
+		}
 	}
-	t.e.done = true
-	owner := t.e.owner
-	t.e.mu.Unlock()
-	if owner != nil {
-		owner.noteTimerCanceled()
-	}
-	return true
+	d.qmu.Unlock()
+	return ok
 }
 
 // Pending reports whether the timer is still scheduled.
@@ -91,28 +99,47 @@ func (t Timer) Pending() bool {
 	if t.e == nil {
 		return false
 	}
-	t.e.mu.Lock()
-	defer t.e.mu.Unlock()
-	return !t.e.done
+	d := t.e.dom
+	d.qmu.Lock()
+	ok := t.e.gen == t.gen && !t.e.done
+	d.qmu.Unlock()
+	return ok
 }
 
+// maxFreeTimers bounds each domain's free list of timer entries: enough
+// for the timers a protocol keeps in flight, small enough that a burst
+// of arming does not pin its peak forever.
+const maxFreeTimers = 256
+
+// timerEntry is one armed timer. Entries belong to one domain for life:
+// dom is written once, before any handle exists, and read without a
+// lock; the timerState is guarded by that domain's qmu. The entry sits
+// in the heap while armed and on the domain's free list (or nowhere)
+// once released.
 type timerEntry struct {
-	mu      sync.Mutex
-	at      Duration
-	seq     uint64
-	ev      ID
-	mode    Mode // mode the activation replays with (Delayed for RaiseAfter)
-	args    []Arg
-	attempt int     // retry attempts already made (supervision layer)
-	fire    func()  // internal callback timer (quarantine re-admission)
-	owner   *Domain // for cancellation accounting; nil on internal timers
-	done    bool
+	dom *Domain
+	timerState
+}
+
+// timerState is the qmu-guarded part of a timer entry.
+type timerState struct {
+	gen  uint64 // bumped at every release; Timer handles compare it
+	at   Duration
+	seq  uint64
+	ev   ID
+	mode Mode // mode the activation replays with (Delayed for RaiseAfter)
+	done bool // canceled while still in the heap
+
+	attempt int    // retry attempts already made (supervision layer)
+	fire    func() // internal callback timer (quarantine re-admission)
 
 	// Span context carried across the timer deferral (span.go): zero
 	// trace means the deferred activation is not part of a sampled trace.
 	trace uint64
 	pspan uint64
 	skind uint8
+
+	args argBuf
 }
 
 type timerHeap []*timerEntry
@@ -140,19 +167,16 @@ func (s *System) RaiseAfter(d Duration, ev ID, args ...Arg) Timer {
 // raiseAfterCtx is RaiseAfter carrying a span context onto the timer
 // entry (zero trace for an untraced deferral).
 func (s *System) raiseAfterCtx(d Duration, ev ID, args []Arg, trace, pspan uint64, skind uint8) Timer {
-	dom := s.domainOf(ev)
-	e := &timerEntry{ev: ev, mode: Delayed, args: cloneArgs(args), owner: dom, trace: trace, pspan: pspan, skind: skind}
-	dom.armTimer(d, e)
-	return Timer{e: e}
+	return s.domainOf(ev).armTimer(d, ev, Delayed, args, 0, nil, trace, pspan, skind)
 }
 
 // scheduleRetry re-arms a faulted activation after its backoff delay on
 // this domain, carrying the attempt count and the original mode forward,
 // so a retried RaiseAsync activation replays with ctx.Mode == Async. No
-// cancellation token escapes, so owner stays nil. trace/pspan parent the
-// replay's span on the attempt that faulted (zero when untraced).
+// cancellation token escapes. trace/pspan parent the replay's span on
+// the attempt that faulted (zero when untraced).
 func (d *Domain) scheduleRetry(delay Duration, ev ID, mode Mode, args []Arg, attempt int, trace, pspan uint64, skind uint8) {
-	d.armTimer(delay, &timerEntry{ev: ev, mode: mode, args: cloneArgs(args), attempt: attempt, trace: trace, pspan: pspan, skind: skind})
+	d.armTimer(delay, ev, mode, args, attempt, nil, trace, pspan, skind)
 }
 
 // scheduleInternal arms an internal callback timer (quarantine
@@ -160,22 +184,48 @@ func (d *Domain) scheduleRetry(delay Duration, ev ID, mode Mode, args []Arg, att
 // activations, so it is deterministic under VirtualClock and fires from
 // Step/Drain/Run.
 func (d *Domain) scheduleInternal(delay Duration, fire func()) {
-	d.armTimer(delay, &timerEntry{fire: fire})
+	d.armTimer(delay, 0, 0, nil, 0, fire, 0, 0, 0)
 }
 
-// armTimer pushes e onto this domain's timer heap with its deadline delay
-// from now (negative delays fire immediately) and the next sequence
-// number, then wakes the domain's run loop.
-func (d *Domain) armTimer(delay Duration, e *timerEntry) {
+// armTimer fills a recycled (or new) entry and pushes it onto this
+// domain's timer heap with its deadline delay from now (negative delays
+// fire immediately) and the next sequence number, all under one qmu
+// hold, then wakes the domain's run loop. Arguments are copied into the
+// entry; the caller's slice is never retained.
+func (d *Domain) armTimer(delay Duration, ev ID, mode Mode, args []Arg, attempt int, fire func(), trace, pspan uint64, skind uint8) Timer {
 	if delay < 0 {
 		delay = 0
 	}
 	d.qmu.Lock()
+	var e *timerEntry
+	if n := len(d.tfree); n > 0 {
+		e = d.tfree[n-1]
+		d.tfree[n-1] = nil
+		d.tfree = d.tfree[:n-1]
+	} else {
+		e = &timerEntry{dom: d}
+	}
 	d.tseq++
 	e.at, e.seq = d.sys.clock.Now()+delay, d.tseq
+	e.ev, e.mode, e.attempt, e.fire = ev, mode, attempt, fire
+	e.trace, e.pspan, e.skind = trace, pspan, skind
+	e.args.set(args)
 	heap.Push(&d.timers, e)
+	t := Timer{e: e, gen: e.gen}
 	d.qmu.Unlock()
 	d.nudge()
+	return t
+}
+
+// releaseTimerLocked retires an entry that has left the heap: it bumps
+// the generation (invalidating every outstanding handle), clears the
+// entry so it pins no arguments, and keeps it for reuse while the free
+// list has room. Caller holds qmu.
+func (d *Domain) releaseTimerLocked(e *timerEntry) {
+	e.timerState = timerState{gen: e.gen + 1}
+	if !d.sys.noPool && len(d.tfree) < maxFreeTimers {
+		d.tfree = append(d.tfree, e)
+	}
 }
 
 // enqueue routes an asynchronous activation to the event's owning
@@ -192,7 +242,7 @@ func (s *System) enqueueCtx(ev ID, mode Mode, args []Arg, trace, pspan uint64, s
 	d := s.domainOf(ev)
 	a := s.getAct()
 	a.ev, a.mode = ev, mode
-	a.setArgs(args)
+	a.args.set(args)
 	a.trace, a.pspan, a.skind = trace, pspan, skind
 	if s.tel != nil {
 		a.enqAt, a.enqSet = s.clock.Now(), true
@@ -241,29 +291,18 @@ func (d *Domain) nudge() {
 	}
 }
 
-// noteTimerCanceled counts a cancellation and compacts the heap once
-// canceled entries outnumber live ones (and are worth the rebuild).
-func (d *Domain) noteTimerCanceled() {
-	d.qmu.Lock()
-	d.canceled++
-	if d.canceled >= 64 && d.canceled*2 >= len(d.timers) {
-		d.compactTimersLocked()
-	}
-	d.qmu.Unlock()
-}
-
-// compactTimersLocked rebuilds the heap without done entries. Caller
-// holds qmu.
+// compactTimersLocked rebuilds the heap without canceled entries,
+// releasing them. Caller holds qmu.
 func (d *Domain) compactTimersLocked() {
-	kept := make(timerHeap, 0, len(d.timers)-d.canceled)
+	kept := d.timers[:0]
 	for _, e := range d.timers {
-		e.mu.Lock()
-		done := e.done
-		e.mu.Unlock()
-		if !done {
+		if e.done {
+			d.releaseTimerLocked(e)
+		} else {
 			kept = append(kept, e)
 		}
 	}
+	clear(d.timers[len(kept):])
 	d.timers = kept
 	heap.Init(&d.timers)
 	d.canceled = 0
@@ -301,11 +340,7 @@ func (d *Domain) popContLocked() *activation {
 // earliest live timer (nil when none). Caller holds qmu.
 func (d *Domain) liveTimerLocked() *timerEntry {
 	for len(d.timers) > 0 {
-		e := d.timers.peek()
-		e.mu.Lock()
-		done := e.done
-		e.mu.Unlock()
-		if !done {
+		if e := d.timers.peek(); !e.done {
 			return e
 		}
 		d.dropDoneTimerLocked()
@@ -320,10 +355,9 @@ func (d *Domain) dueTimerLocked() bool {
 	if len(d.timers) == 0 {
 		return false
 	}
-	// `at` is written once at arming (under qmu) and never again, so the
-	// heap top's deadline lower-bounds every live deadline — even a
-	// canceled top's stale one — and one read without the entry mutex
-	// answers the common "nothing due" case.
+	// The heap top's deadline lower-bounds every live deadline — even a
+	// canceled top's — so one compare answers the common "nothing due"
+	// case.
 	now := d.sys.clock.Now()
 	if d.timers[0].at > now {
 		return false
@@ -353,25 +387,20 @@ func (d *Domain) popRunnableBatch(dst []*activation) int {
 		// Due timers fire before queued events to honor their deadlines.
 		// (The same unlocked heap-top compare as dueTimerLocked.)
 		for n < len(dst) && len(d.timers) > 0 && d.timers[0].at <= now {
-			e := d.timers.peek()
-			e.mu.Lock()
-			canceled := e.done
-			e.done = true
-			e.mu.Unlock()
-			if canceled {
+			if d.timers.peek().done {
 				d.dropDoneTimerLocked()
 				continue
 			}
-			heap.Pop(&d.timers)
+			e := heap.Pop(&d.timers).(*timerEntry)
 			a := d.sys.getAct()
-			a.ev, a.mode, a.attempt, a.fire = e.ev, e.mode, e.attempt, e.fire
+			a.ev, a.mode, a.attempt, a.fire = e.ev, e.mode, int32(e.attempt), e.fire
 			a.trace, a.pspan, a.skind = e.trace, e.pspan, e.skind
-			a.adoptArgs(e.args) // the entry's clone transfers ownership
-			e.args = nil
+			a.args = e.args // moves the entry's spill, if any, with it
 			if tel := d.sys.tel; tel != nil && a.fire == nil {
 				// A timer's queue delay is the time past its deadline.
 				tel.RecordQueueDelay(d.idx, int32(a.ev), int64(now-e.at))
 			}
+			d.releaseTimerLocked(e)
 			if h := d.sys.sched; h != nil {
 				h.Sched(SchedTimerFire, d.idx, a.ev, 0)
 			}
@@ -406,10 +435,10 @@ func (d *Domain) popRunnableBatch(dst []*activation) int {
 	return n
 }
 
-// dropDoneTimerLocked pops the (done) heap top and credits the
-// compaction counter. Caller holds qmu.
+// dropDoneTimerLocked pops and releases the (canceled) heap top and
+// credits the compaction counter. Caller holds qmu.
 func (d *Domain) dropDoneTimerLocked() {
-	heap.Pop(&d.timers)
+	d.releaseTimerLocked(heap.Pop(&d.timers).(*timerEntry))
 	if d.canceled > 0 {
 		d.canceled--
 	}

@@ -6,8 +6,9 @@ import (
 	"testing/quick"
 )
 
-func TestParseBasicFunction(t *testing.T) {
-	src := `
+// The sources of the parser tests, shared with FuzzParse as its seeds.
+var (
+	basicSrc = `
 func demo (params=1, regs=7)
 b0:
   r1 = const 5
@@ -26,6 +27,48 @@ b1:
 b2:
   return r6
 `
+
+	constKindsSrc = `
+func k (params=0, regs=4)
+b0:
+  r0 = const true
+  r1 = const false
+  r2 = const "hello world"
+  r3 = const -42
+  return r3
+`
+
+	commentedSrc = `
+func f (params=0, regs=1)
+// a comment
+b0:
+  # another comment
+  r0 = const 7
+
+  return r0
+`
+
+	badSrcs = []string{
+		"",
+		"notfunc x (params=0, regs=0)",
+		"func f params=0",
+		"func f (wat=3)",
+		"func f (params=x)",
+		"func f (params=0, regs=1)\n  r0 = const 1", // instr before block label
+		"func f (params=0, regs=1)\nb0:\n  r0 = const bytes[3]",
+		"func f (params=0, regs=1)\nb0:\n  wiggle r0",
+		"func f (params=0, regs=1)\nb0:\n  r0 = r1 ?? r0",
+		"func f (params=0, regs=1)\nb0:\n  jump b9",          // out-of-range target
+		"func f (params=0, regs=1)\nb0:\n  branch r0 ? b0",   // malformed branch
+		"func f (params=0, regs=1)\nb0:\n  raise \"E\" x=r0", // missing parens
+		"func f (params=0, regs=1)\nb0:\n  store \"g\"",      // missing reg
+		"func f (params=0, regs=1)\nb0:\n  r0 = arg size",    // unquoted
+		"func f (params=0, regs=2)\nb0:\n  r5 = const 1",     // reg out of range
+	}
+)
+
+func TestParseBasicFunction(t *testing.T) {
+	src := basicSrc
 	fn, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
@@ -65,15 +108,7 @@ b2:
 }
 
 func TestParseConstKinds(t *testing.T) {
-	src := `
-func k (params=0, regs=4)
-b0:
-  r0 = const true
-  r1 = const false
-  r2 = const "hello world"
-  r3 = const -42
-  return r3
-`
+	src := constKindsSrc
 	fn, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
@@ -92,23 +127,7 @@ b0:
 }
 
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"notfunc x (params=0, regs=0)",
-		"func f params=0",
-		"func f (wat=3)",
-		"func f (params=x)",
-		"func f (params=0, regs=1)\n  r0 = const 1", // instr before block label
-		"func f (params=0, regs=1)\nb0:\n  r0 = const bytes[3]",
-		"func f (params=0, regs=1)\nb0:\n  wiggle r0",
-		"func f (params=0, regs=1)\nb0:\n  r0 = r1 ?? r0",
-		"func f (params=0, regs=1)\nb0:\n  jump b9",          // out-of-range target
-		"func f (params=0, regs=1)\nb0:\n  branch r0 ? b0",   // malformed branch
-		"func f (params=0, regs=1)\nb0:\n  raise \"E\" x=r0", // missing parens
-		"func f (params=0, regs=1)\nb0:\n  store \"g\"",      // missing reg
-		"func f (params=0, regs=1)\nb0:\n  r0 = arg size",    // unquoted
-		"func f (params=0, regs=2)\nb0:\n  r5 = const 1",     // reg out of range
-	}
+	bad := badSrcs
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("accepted %q", src)
@@ -117,15 +136,7 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestParseToleratesCommentsAndBlankLines(t *testing.T) {
-	src := `
-func f (params=0, regs=1)
-// a comment
-b0:
-  # another comment
-  r0 = const 7
-
-  return r0
-`
+	src := commentedSrc
 	fn, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
@@ -167,4 +178,31 @@ func TestParseRejectsByteConstantsExplicitly(t *testing.T) {
 	if _, err := Parse(fn.String()); err == nil || !strings.Contains(err.Error(), "byte constants") {
 		t.Errorf("err = %v", err)
 	}
+}
+
+// FuzzParse feeds arbitrary text to the HIR parser, which reads
+// hand-written and disassembled bodies. It must never panic, and any
+// function it accepts must print to a form that parses back to the same
+// printed form.
+func FuzzParse(f *testing.F) {
+	for _, src := range append([]string{basicSrc, constKindsSrc, commentedSrc}, badSrcs...) {
+		f.Add(src)
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(genCompileProgram(seed).String())
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		fn, err := Parse(src)
+		if err != nil {
+			return
+		}
+		text := fn.String()
+		back, err := Parse(text)
+		if err != nil {
+			t.Fatalf("printed form rejected: %v\n%s", err, text)
+		}
+		if again := back.String(); again != text {
+			t.Fatalf("print-parse is not a fixpoint:\n%s\nvs\n%s", text, again)
+		}
+	})
 }

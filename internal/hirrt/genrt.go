@@ -21,19 +21,13 @@ func (m *Module) Intrinsic(name string) (hir.Intrinsic, bool) {
 // ArgValue reads a named activation argument as an HIR value (None when
 // absent), the OpArg semantics of this module's environments.
 func ArgValue(ctx *event.Ctx, name string) hir.Value {
-	v, ok := ctx.Args.Lookup(name)
-	if !ok {
-		return hir.None
-	}
-	return ToValue(v)
+	p, _ := ctx.Args.Get(name)
+	return argValue(p)
 }
 
 // BindArgValue reads a named binding argument as an HIR value (None
 // when absent), the OpBindArg semantics of this module's environments.
 func BindArgValue(ctx *event.Ctx, name string) hir.Value {
-	v, ok := ctx.BindArgs.Lookup(name)
-	if !ok {
-		return hir.None
-	}
-	return ToValue(v)
+	p, _ := ctx.BindArgs.Get(name)
+	return argValue(p)
 }

@@ -39,19 +39,42 @@ func ToValue(v any) hir.Value {
 	}
 }
 
-// FromValue converts an hir.Value into a runtime argument value.
-func FromValue(v hir.Value) any {
+// FromValue converts an hir.Value into a boxed runtime argument value.
+func FromValue(v hir.Value) any { return ArgOf("", v).Value() }
+
+// ArgOf converts an hir.Value into a named runtime argument without
+// boxing it: ints travel as int64 words, bools as bool words, strings
+// and byte slices as data pointer plus length. Readers that box
+// (Args.Lookup) see the types FromValue produces.
+func ArgOf(name string, v hir.Value) event.Arg {
 	switch v.Kind {
 	case hir.KInt:
-		return v.I
+		return event.Int64(name, v.I)
 	case hir.KBool:
-		return v.I != 0
+		return event.Bool(name, v.I != 0)
 	case hir.KStr:
-		return v.S
+		return event.String(name, v.S)
 	case hir.KBytes:
-		return v.B
+		return event.Bytes(name, v.B)
 	default:
-		return nil
+		return event.Arg{Name: name}
+	}
+}
+
+// argValue converts a runtime argument into an hir.Value, reading an
+// unboxed payload directly.
+func argValue(p event.Arg) hir.Value {
+	switch p.Kind() {
+	case event.KindInt, event.KindInt64:
+		return hir.IntVal(p.AsInt64())
+	case event.KindBool:
+		return hir.BoolVal(p.AsBool())
+	case event.KindString:
+		return hir.StrVal(p.AsString())
+	case event.KindBytes:
+		return hir.BytesVal(p.AsBytes())
+	default:
+		return ToValue(p.Val)
 	}
 }
 
@@ -166,18 +189,12 @@ func (m *Module) newEnv() (*hir.Env, func(*event.Ctx) *event.Ctx) {
 	var eargs []event.Arg // scratch argument record, reused across raises
 	env := &hir.Env{
 		Args: func(n string) (hir.Value, bool) {
-			v, ok := cur.Args.Lookup(n)
-			if !ok {
-				return hir.None, false
-			}
-			return ToValue(v), true
+			p, ok := cur.Args.Get(n)
+			return argValue(p), ok
 		},
 		BindArgs: func(n string) (hir.Value, bool) {
-			v, ok := cur.BindArgs.Lookup(n)
-			if !ok {
-				return hir.None, false
-			}
-			return ToValue(v), true
+			p, ok := cur.BindArgs.Get(n)
+			return argValue(p), ok
 		},
 		Globals: m.Globals,
 		LinkIntrinsic: func(name string) *hir.IntrinsicSlot {
@@ -197,12 +214,13 @@ func (m *Module) newEnv() (*hir.Env, func(*event.Ctx) *event.Ctx) {
 					}
 				}
 				// Every raise entry point marshals its arguments before
-				// any handler runs (inline copy, clone, or timer-entry
-				// clone), so one scratch record serves all raises from
-				// this environment, including reentrant ones.
+				// any handler runs (inline copy or clone, into the
+				// context, activation or timer entry), so one scratch
+				// record serves all raises from this environment,
+				// including reentrant ones.
 				eargs = eargs[:0]
 				for i, v := range args {
-					eargs = append(eargs, event.Arg{Name: site.Names[i], Val: FromValue(v)})
+					eargs = append(eargs, ArgOf(site.Names[i], v))
 				}
 				switch {
 				case site.Delay > 0:

@@ -58,6 +58,53 @@ func TestAllocRegression(t *testing.T) {
 	}
 }
 
+// TestAllocRegressionUnboxedRaise gates the HIR-to-event argument
+// boundary: a body raising an int far outside the runtime's small-int
+// cache and a bytes argument, synchronously and delayed, allocates
+// nothing once warm. The values cross as unboxed argument words
+// (ArgOf) and come back through Args.Int64/Bytes without boxing.
+func TestAllocRegressionUnboxedRaise(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	sys := event.New(event.WithClock(event.NewVirtualClock()))
+	mod := hirrt.NewModule(sys)
+	ev := sys.Define("E")
+	now := sys.Define("Now")
+	later := sys.Define("Later")
+	var seqSum int64
+	var lenSum int
+	sink := func(c *event.Ctx) {
+		seqSum += c.Args.Int64("seq")
+		lenSum += len(c.Args.Bytes("seg"))
+	}
+	sys.Bind(now, "sink", sink)
+	sys.Bind(later, "sink", sink)
+
+	b := hir.NewBuilder("h", 0)
+	seq := b.Bin(hir.Add, b.Arg("n"), b.Int(1<<40))
+	seg := b.Arg("seg")
+	b.Raise("Now", []string{"seq", "seg"}, []hir.Reg{seq, seg})
+	b.RaiseAfter(1000, "Later", []string{"seq", "seg"}, []hir.Reg{seq, seg})
+	b.Return(hir.NoReg)
+	mod.Bind(ev, "h", b.Fn())
+
+	payload := make([]byte, 48)
+	n := int64(0)
+	raise := func() {
+		n++
+		_ = sys.Raise(ev, event.Int64("n", n), event.Bytes("seg", payload))
+		sys.Drain()
+	}
+	raise() // warm-up: grows the scratch and the timer free list
+	if got := testing.AllocsPerRun(200, raise); got != 0 {
+		t.Errorf("HIR raise of unboxed int and bytes, sync and delayed: %.1f allocs/op, want 0", got)
+	}
+	if want := 2 * (202<<40 + 202*203/2); seqSum != int64(want) || lenSum != 2*202*48 {
+		t.Errorf("sinks saw seq sum %d (want %d), len sum %d (want %d)", seqSum, want, lenSum, 2*202*48)
+	}
+}
+
 // callBody is a body storing intrinsic(n) into cell.
 func callBody(name, intrinsic, cell string) *hir.Function {
 	b := hir.NewBuilder(name, 0)

@@ -353,12 +353,12 @@ func (e *Endpoint) OnDeliver(fn func([]byte)) { e.deliver = fn }
 
 // Push sends one application message through the push chain.
 func (e *Endpoint) Push(msg []byte) {
-	e.Sys.Raise(e.MsgFromUser, event.A("msg", msg))
+	e.Sys.Raise(e.MsgFromUser, event.Bytes("msg", msg))
 }
 
 // HandlePacket feeds one packet from the link into the pop chain.
 func (e *Endpoint) HandlePacket(pkt []byte) {
-	e.Sys.Raise(e.MsgFromNet, event.A("msg", pkt))
+	e.Sys.Raise(e.MsgFromNet, event.Bytes("msg", pkt))
 }
 
 // Pair wires two endpoints with identical configuration back-to-back

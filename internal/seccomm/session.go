@@ -116,7 +116,7 @@ func (s *Server) HandlePacket(pkt []byte) error {
 	}
 	switch pkt[0] {
 	case pktKeyExchange:
-		return s.Sys.Raise(s.OpenSession, event.A("blob", pkt[1:]))
+		return s.Sys.Raise(s.OpenSession, event.Bytes("blob", pkt[1:]))
 	case pktData:
 		if s.ep == nil {
 			return s.Sys.Raise(s.KeyMiss)
