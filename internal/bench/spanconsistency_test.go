@@ -6,12 +6,17 @@ import (
 	"eventopt/internal/event"
 	"eventopt/internal/seccomm"
 	"eventopt/internal/span"
+	"eventopt/internal/telemetry"
 	"eventopt/internal/trace"
 )
 
-// spanCfg traces every root with a ring big enough that no parent span
-// of the golden workloads is overwritten before the final snapshot.
-var spanCfg = span.Config{SampleEvery: 1, RingSize: 1 << 14}
+// spanOpts traces every root with a ring big enough that no parent span
+// of the golden workloads is overwritten before the final snapshot. The
+// ring is the observation stream's, sized through the telemetry config.
+var spanOpts = []event.Option{
+	event.WithSpanTracing(span.Config{SampleEvery: 1}),
+	event.WithTelemetry(telemetry.Config{RingSize: 1 << 14}),
+}
 
 // checkSpanTree asserts the structural invariants every exported span
 // set must satisfy at quiescence: non-root spans point at a recorded
@@ -75,7 +80,7 @@ func TestSpanTreeConsistentWithSchedSecComm(t *testing.T) {
 		DESKey: []byte("8bytekey"),
 		XORKey: []byte{0x5A, 0xA5, 0x3C},
 		IV:     []byte("initvect"),
-	}, event.WithSpanTracing(spanCfg), event.WithSchedHook(rec))
+	}, append(spanOpts, event.WithSchedHook(rec))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +122,7 @@ func TestSpanTreeConsistentWithSchedSecComm(t *testing.T) {
 // continuations and async fallbacks through DrainBatched.
 func TestSpanTreeConsistentWithSchedBatchPipe(t *testing.T) {
 	rec := trace.NewSchedRecorder()
-	_, s, err := BatchPipeWorkload(4, event.WithSpanTracing(spanCfg), event.WithSchedHook(rec))
+	_, s, err := BatchPipeWorkload(4, append(spanOpts, event.WithSchedHook(rec))...)
 	if err != nil {
 		t.Fatal(err)
 	}

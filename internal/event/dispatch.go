@@ -113,35 +113,43 @@ func (s *System) report(err error) {
 // the registry route. With telemetry and spans off, the observation
 // bracket costs one branch.
 //
-// The bracket opens a span when the activation belongs to a sampled
-// trace — a nested raise inherits the domain's open span, a top-level
-// one the context stamped on its record (pend*, set by runTop) or, for
-// a registry-route raise that carries none, the root-sampling draw —
-// and, inside the span, feeds telemetry: the continuous graph, the
-// latency histogram for the hashed 1-in-TimeSampleEvery draw and, at
-// top level, a flight-recorder record with the activation's outcome.
-// Faulted activations are recorded in the flight ring regardless of the
-// draw (with Duration 0 when unsampled), and any dump the activation's
-// faults requested is taken last, so the ring already contains the
-// faulted activation when it is captured.
+// The bracket takes the domain stream's one sampling draw, which each
+// layer compares against its own threshold: the graph feed and the timed
+// path (telemetry), and the root decision of a registry-route top-level
+// raise that carries no span context (spans). A nested raise inherits
+// the domain's open span; a popped record adopts the context stamped on
+// it (pend*, set by runTop). A timed or traced activation reads the
+// clock twice and writes at most one stream record, which is a span when
+// it carries a trace and, at top level, a flight-recorder record.
+// Faulted top-level activations are recorded regardless of the draw
+// (with Start = End when neither timed nor traced), and any dump the
+// activation's faults requested is taken last, so the ring already
+// contains the faulted activation when it is captured.
 //
 // The brackets are straight-line rather than deferred: under the
 // Propagate policy a handler panic unwinds through the raise and that
 // activation goes unrecorded, which is acceptable — the flight recorder
 // earns its keep under supervision, where panics are recovered.
 func (s *System) dispatch(d *Domain, ev ID, mode Mode, args []Arg, depth int, sh *SuperHandler, idx int) error {
-	if !s.observed {
+	if s.obs == nil {
 		return s.route(d, ev, mode, args, depth, sh, idx)
 	}
-	col, tel, df := s.spans, s.tel, &d.fault
+	tel, col, df := s.tel, s.spans, &d.fault
+	draw := s.obs.Draw(d.idx)
+	timed := false
+	if tel != nil {
+		timed = tel.RecordDispatch(d.idx, int32(ev), mode == Sync, draw)
+		if depth == 0 && df.lastCause != nil { // conditional: skip the write barrier on the common path
+			df.lastCause = nil
+		}
+	}
 	var trace, parent, id uint64
 	var kind span.Kind
-	var spStart Duration
 	var prevTrace, prevSpan uint64
 	var prevTier, prevFlags uint8
 	traced := false
 	if col != nil {
-		if trace, parent, kind, traced = d.spanContext(depth, sh == nil); traced {
+		if trace, parent, kind, traced = d.spanContext(depth, sh == nil, draw); traced {
 			id = col.NextID(d.idx)
 			if trace == 0 {
 				trace = id
@@ -151,60 +159,55 @@ func (s *System) dispatch(d *Domain, ev ID, mode Mode, args []Arg, depth int, sh
 			// open span only.
 			prevTrace, prevSpan, prevTier, prevFlags = d.curTrace, d.curSpan, d.spanTier, d.spanFlags
 			d.curTrace, d.curSpan, d.spanTier, d.spanFlags = trace, id, 0, 0
-			spStart = s.clock.Now()
 		}
+	}
+	var start Duration
+	if timed || traced {
+		start = s.clock.Now()
 	}
 	faultsBefore := df.activationFaults
-	sampled := false
-	var start Duration
-	if tel != nil {
-		sampled = tel.RecordDispatch(d.idx, int32(ev), mode == Sync)
-		if depth == 0 && df.lastCause != nil { // conditional: skip the write barrier on the common path
-			df.lastCause = nil
-		}
-		if sampled {
-			start = s.clock.Now()
-		}
-	}
 	err := s.route(d, ev, mode, args, depth, sh, idx)
 	faulted := df.activationFaults > faultsBefore
-	if tel != nil && (sampled || depth == 0) {
-		var end Duration
-		var dur int64
-		if sampled || faulted {
-			end = s.clock.Now()
+	flight := tel != nil && depth == 0 && (timed || faulted)
+	if timed || traced || flight {
+		end := s.clock.Now()
+		if !timed && !traced {
+			start = end
 		}
-		if sampled {
-			dur = int64(end - start)
-			tel.RecordLatency(d.idx, int32(ev), dur)
+		if timed {
+			tel.RecordLatency(d.idx, int32(ev), int64(end-start))
 		}
-		if depth == 0 && (sampled || faulted) {
-			outcome := telemetry.OutcomeOK
-			var cause *string
+		if traced || flight {
+			r := telemetry.Record{Event: int32(ev), Mode: uint8(mode), Nested: depth > 0,
+				Attempt: d.telAttempt, Start: int64(start), End: int64(end)}
 			if faulted {
-				outcome, cause = telemetry.OutcomeFault, df.lastCause
+				r.Outcome, r.Cause = telemetry.OutcomeFault, df.lastCause
+				if flight {
+					tel.RecordFault(d.idx, int32(ev))
+				}
 			}
-			tel.RecordActivation(d.idx, int32(ev), uint8(mode), outcome, d.telAttempt, dur, int64(end), cause)
-		}
-		if depth == 0 && d.telDumpReason != "" {
-			reason := d.telDumpReason
-			d.telDumpReason = ""
-			tel.DumpFlight(d.idx, reason)
+			if traced {
+				r.Trace, r.Span, r.Parent = trace, id, parent
+				r.Kind, r.Tier, r.Flags = uint8(kind), d.spanTier, d.spanFlags
+				if faulted {
+					r.Flags |= uint8(span.FlagFault)
+				}
+				d.curTrace, d.curSpan, d.spanTier, d.spanFlags = prevTrace, prevSpan, prevTier, prevFlags
+				if depth == 0 {
+					// Remembered across the runMu release so the retry machinery
+					// can parent a replay on the attempt that faulted.
+					d.lastSpanTrace, d.lastSpanID = trace, id
+				}
+				col.Record(d.idx, &r)
+			} else {
+				s.obs.Write(d.idx, &r)
+			}
 		}
 	}
-	if traced {
-		end := s.clock.Now()
-		tier, flags := span.Tier(d.spanTier), span.Flags(d.spanFlags)
-		if faulted {
-			flags |= span.FlagFault
-		}
-		d.curTrace, d.curSpan, d.spanTier, d.spanFlags = prevTrace, prevSpan, prevTier, prevFlags
-		if depth == 0 {
-			// Remembered across the runMu release so the retry machinery can
-			// parent a replay on the attempt that faulted.
-			d.lastSpanTrace, d.lastSpanID = trace, id
-		}
-		col.Record(d.idx, trace, id, parent, int32(ev), kind, tier, flags, uint8(mode), int64(spStart), int64(end))
+	if depth == 0 && d.telDumpReason != "" {
+		reason := d.telDumpReason
+		d.telDumpReason = ""
+		tel.DumpFlight(d.idx, reason)
 	}
 	return err
 }

@@ -74,13 +74,12 @@ func (s *System) Define(name string) ID {
 	s.publishTableLocked()
 	s.publishNamesLocked()
 	if s.tel != nil {
-		// Pre-grow the telemetry tables so its record paths never allocate.
+		// Name the event and pre-grow the telemetry tables so its record
+		// paths never allocate.
 		s.tel.DefineEvent(int32(id), name)
-	}
-	if s.spans != nil {
-		// Teach the span collector the display name; resolution happens
-		// only at export time, never on the record path.
-		s.spans.DefineEvent(int32(id), name)
+	} else if s.obs != nil {
+		// Names resolve only at export time, never on the record path.
+		s.obs.DefineEvent(int32(id), name)
 	}
 	return id
 }

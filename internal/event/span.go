@@ -25,11 +25,11 @@ func (s *System) SpanTracingEnabled() bool { return s.spans != nil }
 // spanContext picks the span context of a dispatch at depth: nested
 // raises inherit the domain's open span; a top-level dispatch adopts the
 // context stamped on its activation record (pend*, set by runTop) or,
-// when it carries none and mayRoot is set, draws the root-sampling
-// decision. It reports traced=false for an unsampled activation, which
-// then pays one branch and, at top level, one hash draw. Caller holds
-// runMu.
-func (d *Domain) spanContext(depth int, mayRoot bool) (trace, parent uint64, kind span.Kind, traced bool) {
+// when it carries none and mayRoot is set, compares the dispatch's draw
+// against the root threshold. It reports traced=false for an unsampled
+// activation, which then pays one branch and, at top level, one
+// compare. Caller holds runMu.
+func (d *Domain) spanContext(depth int, mayRoot bool, draw uint64) (trace, parent uint64, kind span.Kind, traced bool) {
 	if depth > 0 {
 		return d.curTrace, d.curSpan, span.KindSync, d.curTrace != 0
 	}
@@ -39,7 +39,7 @@ func (d *Domain) spanContext(depth int, mayRoot bool) (trace, parent uint64, kin
 		d.pendTrace = 0
 		return trace, d.pendSpan, span.Kind(d.pendKind), true
 	}
-	if mayRoot && d.sys.spans.SampleRoot(d.idx) {
+	if mayRoot && d.sys.spans.SampleRoot(d.idx, draw) {
 		return 0, 0, span.KindRoot, true
 	}
 	return 0, 0, 0, false

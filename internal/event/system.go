@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"eventopt/internal/span"
 	"eventopt/internal/telemetry"
@@ -67,46 +68,12 @@ type Counters struct {
 	QueueDrops      atomic.Int64 // activations dropped/rejected by a bounded queue
 }
 
-// addTo accumulates c's current values into the snapshot (each atomic is
-// loaded once). Aggregation across domains goes through snapshots so the
-// per-domain counters stay the only live state.
-func (c *Counters) addTo(s *StatsSnapshot) {
-	s.add(c.Snapshot())
-}
-
-// Reset zeroes all counters.
-func (c *Counters) Reset() {
-	c.Raises.Store(0)
-	c.SyncRaises.Store(0)
-	c.AsyncRaises.Store(0)
-	c.TimedRaises.Store(0)
-	c.Generic.Store(0)
-	c.FastRuns.Store(0)
-	c.Fallbacks.Store(0)
-	c.SegFallbacks.Store(0)
-	c.Indirect.Store(0)
-	c.Marshals.Store(0)
-	c.ArgResolves.Store(0)
-	c.Locks.Store(0)
-	c.HandlersRun.Store(0)
-	c.Coalesced.Store(0)
-	c.CoalesceFallbacks.Store(0)
-	c.XDomainHandoffs.Store(0)
-	c.XDomainFallbacks.Store(0)
-	c.PanicsRecovered.Store(0)
-	c.Retries.Store(0)
-	c.Quarantines.Store(0)
-	c.Reinstates.Store(0)
-	c.Deopts.Store(0)
-	c.DeadLetters.Store(0)
-	c.QueueDrops.Store(0)
-}
-
 // StatsSnapshot is a coherent copy of the counters: every atomic is
 // loaded exactly once, so derived quantities (fast-path share, fallback
 // rate) are internally consistent even when taken mid-load. Derived
 // lines in Summary and the -stats reports of the tools are computed
-// from one snapshot, never from repeated live loads.
+// from one snapshot, never from repeated live loads. Its fields are
+// Counters' fields, by name and in order (TestCountersFieldList).
 type StatsSnapshot struct {
 	Raises, SyncRaises, AsyncRaises, TimedRaises int64
 	Generic, FastRuns, Fallbacks, SegFallbacks   int64
@@ -118,62 +85,44 @@ type StatsSnapshot struct {
 	Reinstates, Deopts, DeadLetters, QueueDrops  int64
 }
 
-// Snapshot loads every counter once and returns the copies.
-func (c *Counters) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Raises:            c.Raises.Load(),
-		SyncRaises:        c.SyncRaises.Load(),
-		AsyncRaises:       c.AsyncRaises.Load(),
-		TimedRaises:       c.TimedRaises.Load(),
-		Generic:           c.Generic.Load(),
-		FastRuns:          c.FastRuns.Load(),
-		Fallbacks:         c.Fallbacks.Load(),
-		SegFallbacks:      c.SegFallbacks.Load(),
-		Indirect:          c.Indirect.Load(),
-		Marshals:          c.Marshals.Load(),
-		ArgResolves:       c.ArgResolves.Load(),
-		Locks:             c.Locks.Load(),
-		HandlersRun:       c.HandlersRun.Load(),
-		Coalesced:         c.Coalesced.Load(),
-		CoalesceFallbacks: c.CoalesceFallbacks.Load(),
-		XDomainHandoffs:   c.XDomainHandoffs.Load(),
-		XDomainFallbacks:  c.XDomainFallbacks.Load(),
-		PanicsRecovered:   c.PanicsRecovered.Load(),
-		Retries:           c.Retries.Load(),
-		Quarantines:       c.Quarantines.Load(),
-		Reinstates:        c.Reinstates.Load(),
-		Deopts:            c.Deopts.Load(),
-		DeadLetters:       c.DeadLetters.Load(),
-		QueueDrops:        c.QueueDrops.Load(),
+// numCounters is the length of the one field list Counters and
+// StatsSnapshot share; the array views below index it.
+const numCounters = unsafe.Sizeof(StatsSnapshot{}) / 8
+
+// Both structs are nothing but that list, so each is laid out exactly
+// as an array of it. A field added to one and not the other breaks the
+// build here.
+var _ [unsafe.Sizeof(Counters{}) - unsafe.Sizeof(StatsSnapshot{})]struct{}
+var _ [unsafe.Sizeof(StatsSnapshot{}) - unsafe.Sizeof(Counters{})]struct{}
+
+func (c *Counters) cells() *[numCounters]atomic.Int64 {
+	return (*[numCounters]atomic.Int64)(unsafe.Pointer(c))
+}
+
+func (s *StatsSnapshot) cells() *[numCounters]int64 {
+	return (*[numCounters]int64)(unsafe.Pointer(s))
+}
+
+// Reset zeroes all counters.
+func (c *Counters) Reset() {
+	for i := range c.cells() {
+		c.cells()[i].Store(0)
 	}
+}
+
+// Snapshot loads every counter once and returns the copies.
+func (c *Counters) Snapshot() (s StatsSnapshot) {
+	for i := range c.cells() {
+		s.cells()[i] = c.cells()[i].Load()
+	}
+	return s
 }
 
 // add accumulates o into s field by field.
 func (s *StatsSnapshot) add(o StatsSnapshot) {
-	s.Raises += o.Raises
-	s.SyncRaises += o.SyncRaises
-	s.AsyncRaises += o.AsyncRaises
-	s.TimedRaises += o.TimedRaises
-	s.Generic += o.Generic
-	s.FastRuns += o.FastRuns
-	s.Fallbacks += o.Fallbacks
-	s.SegFallbacks += o.SegFallbacks
-	s.Indirect += o.Indirect
-	s.Marshals += o.Marshals
-	s.ArgResolves += o.ArgResolves
-	s.Locks += o.Locks
-	s.HandlersRun += o.HandlersRun
-	s.Coalesced += o.Coalesced
-	s.CoalesceFallbacks += o.CoalesceFallbacks
-	s.XDomainHandoffs += o.XDomainHandoffs
-	s.XDomainFallbacks += o.XDomainFallbacks
-	s.PanicsRecovered += o.PanicsRecovered
-	s.Retries += o.Retries
-	s.Quarantines += o.Quarantines
-	s.Reinstates += o.Reinstates
-	s.Deopts += o.Deopts
-	s.DeadLetters += o.DeadLetters
-	s.QueueDrops += o.QueueDrops
+	for i, v := range o.cells() {
+		s.cells()[i] += v
+	}
 }
 
 // FastShare is the fraction of dispatched activations that took an
@@ -242,10 +191,10 @@ type System struct {
 	fault   faultShared // shared supervision config (fault.go)
 	haltErr func(error) // reporter for raise errors on async paths
 
-	tel      *telemetry.Telemetry // live observability layer; nil unless enabled
-	spans    *span.Collector      // causal span tracing; nil unless enabled
-	observed bool                 // tel or spans is on: dispatch takes the observation bracket
-	slo      *telemetry.Watchdog  // SLO burn-rate watchdog; nil unless enabled
+	obs   *telemetry.Stream    // observation stream shared by tel and spans; nil when both are off
+	tel   *telemetry.Telemetry // live observability layer; nil unless enabled
+	spans *span.Collector      // causal span tracing; nil unless enabled
+	slo   *telemetry.Watchdog  // SLO burn-rate watchdog; nil unless enabled
 
 	sloEvent ID // the synthetic slo.breach event (when the watchdog is on)
 
@@ -343,13 +292,15 @@ func New(opts ...Option) *System {
 		// The watchdog burns against the telemetry histograms.
 		s.wantTel = true
 	}
+	if s.wantTel || s.wantSpans {
+		s.obs = telemetry.NewStream(n, s.wantTelCfg.RingSize)
+	}
 	if s.wantTel {
-		s.tel = telemetry.New(n, s.wantTelCfg)
+		s.tel = telemetry.New(s.obs, s.wantTelCfg)
 	}
 	if s.wantSpans {
-		s.spans = span.NewCollector(n, s.wantSpanCfg)
+		s.spans = span.NewCollector(s.obs, s.wantSpanCfg)
 	}
-	s.observed = s.tel != nil || s.spans != nil
 	if s.wantSLO {
 		s.initSLO()
 	}
@@ -389,30 +340,9 @@ func (s *System) Stats() *Counters {
 	}
 	agg := &Counters{}
 	snap := s.StatsAggregate()
-	agg.Raises.Store(snap.Raises)
-	agg.SyncRaises.Store(snap.SyncRaises)
-	agg.AsyncRaises.Store(snap.AsyncRaises)
-	agg.TimedRaises.Store(snap.TimedRaises)
-	agg.Generic.Store(snap.Generic)
-	agg.FastRuns.Store(snap.FastRuns)
-	agg.Fallbacks.Store(snap.Fallbacks)
-	agg.SegFallbacks.Store(snap.SegFallbacks)
-	agg.Indirect.Store(snap.Indirect)
-	agg.Marshals.Store(snap.Marshals)
-	agg.ArgResolves.Store(snap.ArgResolves)
-	agg.Locks.Store(snap.Locks)
-	agg.HandlersRun.Store(snap.HandlersRun)
-	agg.Coalesced.Store(snap.Coalesced)
-	agg.CoalesceFallbacks.Store(snap.CoalesceFallbacks)
-	agg.XDomainHandoffs.Store(snap.XDomainHandoffs)
-	agg.XDomainFallbacks.Store(snap.XDomainFallbacks)
-	agg.PanicsRecovered.Store(snap.PanicsRecovered)
-	agg.Retries.Store(snap.Retries)
-	agg.Quarantines.Store(snap.Quarantines)
-	agg.Reinstates.Store(snap.Reinstates)
-	agg.Deopts.Store(snap.Deopts)
-	agg.DeadLetters.Store(snap.DeadLetters)
-	agg.QueueDrops.Store(snap.QueueDrops)
+	for i, v := range snap.cells() {
+		agg.cells()[i].Store(v)
+	}
 	return agg
 }
 
@@ -420,7 +350,7 @@ func (s *System) Stats() *Counters {
 func (s *System) StatsAggregate() StatsSnapshot {
 	var snap StatsSnapshot
 	for _, d := range s.domains {
-		d.stats.addTo(&snap)
+		snap.add(d.stats.Snapshot())
 	}
 	return snap
 }

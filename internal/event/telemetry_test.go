@@ -1,10 +1,13 @@
 package event
 
 import (
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"eventopt/internal/span"
 	"eventopt/internal/telemetry"
 )
 
@@ -258,5 +261,94 @@ func TestStatsSingleDomainBackCompat(t *testing.T) {
 	}
 	if s.StatsSummary() != s.Stats().Summary() {
 		t.Fatal("single-domain StatsSummary must equal the flat Summary")
+	}
+}
+
+// TestCountersFieldList pins the one field list Counters and
+// StatsSnapshot share: every counter has a same-named snapshot field at
+// the same position, and Snapshot, add, Reset and the aggregated Stats
+// of a sharded system cover every one of them.
+func TestCountersFieldList(t *testing.T) {
+	ct, st := reflect.TypeOf(Counters{}), reflect.TypeOf(StatsSnapshot{})
+	if ct.NumField() != st.NumField() {
+		t.Fatalf("Counters has %d fields, StatsSnapshot %d", ct.NumField(), st.NumField())
+	}
+	for i := 0; i < ct.NumField(); i++ {
+		if cn, sn := ct.Field(i).Name, st.Field(i).Name; cn != sn {
+			t.Fatalf("field %d: Counters.%s vs StatsSnapshot.%s", i, cn, sn)
+		}
+		if ct.Field(i).Type != reflect.TypeOf(atomic.Int64{}) || st.Field(i).Type.Kind() != reflect.Int64 {
+			t.Fatalf("field %s: types %v/%v", ct.Field(i).Name, ct.Field(i).Type, st.Field(i).Type)
+		}
+	}
+	// A distinct value per field catches a loop that skips or swaps one.
+	var c Counters
+	cv := reflect.ValueOf(&c).Elem()
+	for i := 0; i < cv.NumField(); i++ {
+		cv.Field(i).Addr().Interface().(*atomic.Int64).Store(int64(i + 1))
+	}
+	snap := c.Snapshot()
+	snap.add(c.Snapshot())
+	sv := reflect.ValueOf(snap)
+	for i := 0; i < sv.NumField(); i++ {
+		if got := sv.Field(i).Int(); got != 2*int64(i+1) {
+			t.Errorf("%s: Snapshot+add = %d, want %d", st.Field(i).Name, got, 2*(i+1))
+		}
+	}
+	s := New(WithDomains(2))
+	for _, d := range s.domains {
+		dv := reflect.ValueOf(&d.stats).Elem()
+		for i := 0; i < dv.NumField(); i++ {
+			dv.Field(i).Addr().Interface().(*atomic.Int64).Store(int64(i + 1))
+		}
+	}
+	agg := reflect.ValueOf(s.Stats()).Elem()
+	for i := 0; i < agg.NumField(); i++ {
+		if got := agg.Field(i).Addr().Interface().(*atomic.Int64).Load(); got != 2*int64(i+1) {
+			t.Errorf("%s: aggregated Stats = %d, want %d", ct.Field(i).Name, got, 2*(i+1))
+		}
+	}
+	c.Reset()
+	if c.Snapshot() != (StatsSnapshot{}) {
+		t.Errorf("Reset left %+v", c.Snapshot())
+	}
+}
+
+// TestObservationStreamOneRecordPerActivation: with telemetry and spans
+// both on and every period 1, each top-level activation writes exactly
+// one stream record — consecutive stream positions, one per activation
+// — and its flight view and root span report the same start and end.
+func TestObservationStreamOneRecordPerActivation(t *testing.T) {
+	vc := NewVirtualClock()
+	s := New(WithClock(vc),
+		WithTelemetry(telemetry.Config{SampleEvery: 1, TimeSampleEvery: 1}),
+		WithSpanTracing(span.Config{SampleEvery: 1, RetainEvery: span.DisableRetention}))
+	ev := s.Define("work")
+	s.Bind(ev, "h", func(*Ctx) { vc.Advance(3 * time.Millisecond) })
+	for i := 0; i < 5; i++ {
+		if err := s.Raise(ev); err != nil {
+			t.Fatal(err)
+		}
+		vc.Advance(time.Millisecond)
+	}
+	s.RaiseAsync(ev)
+	s.Drain()
+
+	recs, roots := s.Telemetry().FlightRecords(0), s.Spans().Recent()
+	if len(recs) != 6 || len(roots) != 6 {
+		t.Fatalf("flight records = %d, spans = %d, want 6 each", len(recs), len(roots))
+	}
+	all := s.obs.Records(0, func(*telemetry.Record) bool { return true }, nil)
+	if len(all) != 6 || s.Spans().Stats().Spans != 6 {
+		t.Fatalf("stream holds %d records (%d spans), want 6", len(all), s.Spans().Stats().Spans)
+	}
+	for i, fr := range recs {
+		sp := roots[i]
+		if fr.Seq != uint64(i) || !sp.Root() || sp.Event != fr.Event || sp.Name != "work" {
+			t.Fatalf("activation %d: flight %+v, span %+v", i, fr, sp)
+		}
+		if fr.Duration != int64(3*time.Millisecond) || sp.Start != fr.End-fr.Duration || sp.End != fr.End {
+			t.Fatalf("activation %d: flight [%d, %d], span [%d, %d]", i, fr.End-fr.Duration, fr.End, sp.Start, sp.End)
+		}
 	}
 }

@@ -435,7 +435,7 @@ func TestSeccommChaosFlightRecorderDump(t *testing.T) {
 	}
 	e, err := seccomm.New(seccommConfig(),
 		event.WithClock(event.NewVirtualClock()),
-		event.WithTelemetry(telemetry.Config{FlightSize: 64}),
+		event.WithTelemetry(telemetry.Config{RingSize: 64}),
 		event.WithFaultConfig(event.FaultConfig{
 			Policy:           event.Quarantine,
 			FailureThreshold: 3,

@@ -1,21 +1,20 @@
 package span
 
 import (
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"eventopt/internal/telemetry"
 )
 
 // Config tunes the collector. The zero value picks the defaults below.
 type Config struct {
 	// SampleEvery head-samples roots: roughly one in SampleEvery
-	// external raises starts a trace (hash-spread, not strictly
-	// periodic). Default 16; 1 traces every root.
+	// external raises starts a trace, by a threshold on the stream's
+	// per-dispatch draw (hash-spread, not strictly periodic). Default 16;
+	// 1 traces every root.
 	SampleEvery int
-	// RingSize is the per-domain span ring capacity, rounded up to a
-	// power of two. Default 256, minimum 16.
-	RingSize int
 	// RetainEvery hash-samples healthy finished traces for retention,
 	// roughly one in RetainEvery. Default 64; 0 disables baseline
 	// retention (faulted and slow traces are still kept).
@@ -36,12 +35,6 @@ func (c Config) withDefaults() Config {
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = DefaultSampleEvery
 	}
-	if c.RingSize <= 0 {
-		c.RingSize = 256
-	}
-	if c.RingSize < 16 {
-		c.RingSize = 16
-	}
 	if c.RetainEvery < 0 {
 		c.RetainEvery = 0
 	} else if c.RetainEvery == 0 {
@@ -60,92 +53,14 @@ func (c Config) withDefaults() Config {
 // baseline hash-sampled retention off entirely.
 const DisableRetention = -1
 
-// sampleLimit converts a 1-in-N period into a threshold for a
-// golden-ratio hash draw over a monotone tick.
-func sampleLimit(n int) uint64 {
-	if n <= 1 {
-		return ^uint64(0)
-	}
-	return ^uint64(0) / uint64(n)
-}
-
-func hashTick(tick uint64) uint64 {
-	h := tick * 0x9E3779B97F4A7C15
-	h ^= h >> 29
-	return h
-}
-
-// slot is one span ring entry, written with the same seqlock discipline
-// as the telemetry flight recorder: seq goes to 0 (invalid) before the
-// payload stores and to seq+1 after, so a reader that sees the same odd
-// "stamp" before and after its copy has a consistent record.
-type slot struct {
-	seq    atomic.Uint64
-	trace  atomic.Uint64
-	id     atomic.Uint64
-	parent atomic.Uint64
-	meta   atomic.Uint64
-	start  atomic.Int64
-	end    atomic.Int64
-}
-
-// domSpans is the per-domain side of the collector. tick/seq/roots are
-// plain words: they are only touched by the owning domain's serialized
-// dispatch (under runMu), never concurrently.
-type domSpans struct {
-	mask  uint64
-	head  atomic.Uint64
-	slots []slot
-	tick  uint64 // root sampling counter
+// domState is the per-domain side of the collector. seq, seen and roots
+// are plain words: they are only touched by the owning domain's
+// serialized dispatch (under runMu), never concurrently.
+type domState struct {
 	seq   uint64 // span ID counter
+	seen  uint64 // root draws, flushed to rootsSeen every seenFlush
 	roots uint64 // finished healthy roots (p99 refresh trigger)
-	_     [3]uint64
-}
-
-func (d *domSpans) record(trace, id, parent, meta uint64, start, end int64) {
-	seq := d.head.Add(1)
-	s := &d.slots[seq&d.mask]
-	s.seq.Store(0)
-	s.trace.Store(trace)
-	s.id.Store(id)
-	s.parent.Store(parent)
-	s.meta.Store(meta)
-	s.start.Store(start)
-	s.end.Store(end)
-	s.seq.Store(seq)
-}
-
-// snapshot copies the ring's currently consistent spans, oldest first.
-func (d *domSpans) snapshot(dom int, out []Span) []Span {
-	head := d.head.Load()
-	n := uint64(len(d.slots))
-	lo := uint64(1)
-	if head > n {
-		lo = head - n + 1
-	}
-	for seq := lo; seq <= head; seq++ {
-		s := &d.slots[seq&d.mask]
-		if s.seq.Load() != seq {
-			continue
-		}
-		sp := Span{
-			Trace:  s.trace.Load(),
-			ID:     s.id.Load(),
-			Parent: s.parent.Load(),
-			Domain: dom,
-			Start:  s.start.Load(),
-			End:    s.end.Load(),
-		}
-		meta := s.meta.Load()
-		if s.seq.Load() != seq { // overwritten mid-copy
-			continue
-		}
-		var mode uint8
-		sp.Event, sp.Kind, sp.Tier, sp.Flags, mode = unpackMeta(meta)
-		sp.Mode = modeName(mode)
-		out = append(out, sp)
-	}
-	return out
+	_     [5]uint64
 }
 
 // markSlots bounds the pending-retention mark table. 64 trace IDs is
@@ -173,24 +88,24 @@ type Trace struct {
 	Spans  []Span `json:"spans"`
 }
 
-// Collector owns the per-domain rings, the root-duration histogram that
-// drives slow-trace marking, and the retained-trace store. All record-
-// path methods are allocation-free; sweeping marked traces into the
-// retained store happens on the fault path and at export time only.
+// Collector reads the traced records of an observation stream as spans.
+// It owns the root-duration histogram that drives slow-trace marking
+// and the retained-trace store. All record-path methods are
+// allocation-free; sweeping marked traces into the retained store
+// happens on the fault path and at export time only.
 type Collector struct {
 	cfg         Config
+	st          *telemetry.Stream
 	rootLimit   uint64
 	retainLimit uint64
 
-	doms []domSpans
+	doms []domState
 
-	// Root-duration histogram (log2 buckets, same shape as
-	// telemetry.Histogram) feeding the live p99 slow threshold.
-	// rootTotal caches the bucket sum at the last refresh so the record
-	// path gates slow-marking on one atomic load.
-	rootBkts  [64]atomic.Int64
-	rootTotal atomic.Int64
-	slowNs    atomic.Int64
+	// Root durations feeding the live p99 slow threshold, which stays 0
+	// until SlowAfter roots have finished, so the record path gates
+	// slow-marking on one atomic load.
+	rootDur telemetry.Histogram
+	slowNs  atomic.Int64
 
 	// Pending retention marks: trace IDs waiting to be swept from the
 	// rings. markCount gates the scan so the common no-marks case is a
@@ -199,7 +114,7 @@ type Collector struct {
 	markWhy   [markSlots]atomic.Uint32 // retention reason, retainReason*
 	markCount atomic.Int64
 
-	// rootsSeen is flushed from the per-domain tick in batches of
+	// rootsSeen is flushed from the per-domain seen count in batches of
 	// seenFlush, so the unsampled raise path pays no shared atomic; the
 	// exported counter may lag the true draw count by up to
 	// domains*(seenFlush-1).
@@ -214,8 +129,6 @@ type Collector struct {
 	mu       sync.Mutex
 	retained map[uint64]*Trace
 	order    []uint64 // retained trace IDs, oldest first
-
-	names atomic.Pointer[[]string] // event ID -> display name; copy-on-write
 }
 
 const (
@@ -235,29 +148,20 @@ func retainReason(r uint32) string {
 	}
 }
 
-// NewCollector builds a collector for a system with the given number of
-// domains.
-func NewCollector(domains int, cfg Config) *Collector {
+// NewCollector builds a collector that records into st, the runtime's
+// observation stream (which the telemetry layer may share). Span names
+// resolve through st's table.
+func NewCollector(st *telemetry.Stream, cfg Config) *Collector {
 	cfg = cfg.withDefaults()
-	if domains < 1 {
-		domains = 1
-	}
-	size := 1
-	for size < cfg.RingSize {
-		size <<= 1
-	}
 	c := &Collector{
 		cfg:       cfg,
-		rootLimit: sampleLimit(cfg.SampleEvery),
-		doms:      make([]domSpans, domains),
+		st:        st,
+		rootLimit: telemetry.Limit(cfg.SampleEvery),
+		doms:      make([]domState, st.NumDomains()),
 		retained:  make(map[uint64]*Trace),
 	}
 	if cfg.RetainEvery > 0 {
-		c.retainLimit = sampleLimit(cfg.RetainEvery)
-	}
-	for i := range c.doms {
-		c.doms[i].mask = uint64(size - 1)
-		c.doms[i].slots = make([]slot, size)
+		c.retainLimit = telemetry.Limit(cfg.RetainEvery)
 	}
 	return c
 }
@@ -265,64 +169,21 @@ func NewCollector(domains int, cfg Config) *Collector {
 // SampleEvery reports the root sampling period.
 func (c *Collector) SampleEvery() int { return c.cfg.SampleEvery }
 
-// DefineEvent registers an event's display name. Names are applied at
-// export time only; the span record path stores numeric IDs.
-func (c *Collector) DefineEvent(ev int32, name string) {
-	if ev < 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var tab []string
-	if p := c.names.Load(); p != nil {
-		tab = *p
-	}
-	grown := make([]string, len(tab))
-	copy(grown, tab)
-	for int(ev) >= len(grown) {
-		grown = append(grown, "")
-	}
-	grown[ev] = name
-	c.names.Store(&grown)
-}
-
-// EventName resolves a registered display name ("" when unknown).
-func (c *Collector) EventName(ev int32) string {
-	p := c.names.Load()
-	if p == nil || ev < 0 || int(ev) >= len(*p) {
-		return ""
-	}
-	return (*p)[ev]
-}
-
-// applyNames fills the Name field of exported spans in place.
-func (c *Collector) applyNames(spans []Span) {
-	p := c.names.Load()
-	if p == nil {
-		return
-	}
-	tab := *p
-	for i := range spans {
-		if ev := spans[i].Event; ev >= 0 && int(ev) < len(tab) {
-			spans[i].Name = tab[ev]
-		}
-	}
-}
-
-// seenFlush batches the rootsSeen counter: the per-domain tick is
+// seenFlush batches the rootsSeen counter: the per-domain count is
 // flushed to the shared atomic once per seenFlush draws, keeping the
 // common unsampled raise free of shared-cacheline traffic.
 const seenFlush = 32
 
-// SampleRoot draws the head-sampling decision for an unsampled root
-// raise on dom. Called only under the domain's dispatch serialization.
-func (c *Collector) SampleRoot(dom int) bool {
+// SampleRoot decides head sampling for an unsampled root raise on dom,
+// given the dispatch's one Stream.Draw. Called only under the domain's
+// dispatch serialization.
+func (c *Collector) SampleRoot(dom int, draw uint64) bool {
 	d := &c.doms[dom]
-	d.tick++
-	if d.tick&(seenFlush-1) == 0 {
+	d.seen++
+	if d.seen&(seenFlush-1) == 0 {
 		c.rootsSeen.Add(seenFlush)
 	}
-	if hashTick(d.tick) > c.rootLimit {
+	if draw > c.rootLimit {
 		return false
 	}
 	c.rootsSampled.Add(1)
@@ -337,79 +198,45 @@ func (c *Collector) NextID(dom int) uint64 {
 	return uint64(dom+1)<<48 | d.seq&(1<<48-1)
 }
 
-// Record stores one finished span. For roots it also feeds the duration
-// histogram and draws the tail-retention decision; for faulted spans it
-// marks (and immediately sweeps) the trace. The healthy path performs
-// no allocation and takes no locks.
-func (c *Collector) Record(dom int, trace, id, parent uint64, ev int32, kind Kind, tier Tier, flags Flags, mode uint8, start, end int64) {
+// Record writes one finished span — a stream record carrying a trace —
+// to dom's ring. For roots it also feeds the duration histogram and
+// draws the tail-retention decision; for faulted spans it marks (and
+// immediately sweeps) the trace. The healthy path performs no
+// allocation and takes no locks.
+func (c *Collector) Record(dom int, r *telemetry.Record) {
+	c.st.Write(dom, r)
 	d := &c.doms[dom]
-	d.record(trace, id, parent, packMeta(ev, kind, tier, flags, mode), start, end)
-	if flags&FlagFault != 0 {
+	if Flags(r.Flags)&FlagFault != 0 {
 		c.faulted.Add(1)
-		if c.mark(trace, retainFault) {
+		if c.mark(r.Trace, retainFault) {
 			c.Sweep() // fault path: allocation is acceptable here
 		}
 		return
 	}
-	if trace != id {
+	if r.Trace != r.Span {
 		return
 	}
 	// Root finished healthy: feed the duration histogram and decide
 	// whether the trace is worth keeping. roots is per-domain and plain
 	// (the caller serializes); the cross-domain total is refreshed
 	// together with the p99 threshold.
-	dur := end - start
-	if dur < 0 {
-		dur = 0
-	}
+	dur := r.End - r.Start
 	d.roots++
-	c.rootBkts[durBucket(dur)].Add(1)
+	c.rootDur.Record(dur)
 	if d.roots&63 == 0 || (d.roots == uint64(c.cfg.SlowAfter) && c.slowNs.Load() == 0) {
-		c.refreshSlow()
+		if snap := c.rootDur.Snapshot(); snap.Count >= c.cfg.SlowAfter {
+			c.slowNs.Store(snap.Quantile(0.99))
+		}
 	}
-	// The threshold is the p99 bucket's upper bound, so only durations
-	// strictly beyond it count as tail-slow.
-	if slow := c.slowNs.Load(); slow > 0 && dur > slow && c.rootTotal.Load() >= c.cfg.SlowAfter {
+	// The threshold is the p99 bucket's upper bound (at most the largest
+	// root seen), so only durations strictly beyond it count as slow.
+	if slow := c.slowNs.Load(); slow > 0 && dur > slow {
 		c.slowRoots.Add(1)
-		c.mark(trace, retainSlow)
+		c.mark(r.Trace, retainSlow)
 		return
 	}
-	if c.retainLimit != 0 && hashTick(d.roots*31+trace) <= c.retainLimit {
-		c.mark(trace, retainSampled)
-	}
-}
-
-// durBucket is bucketOf from telemetry/hist.go: ceil(log2(d)) clamped.
-func durBucket(d int64) int {
-	if d <= 1 {
-		return 0
-	}
-	b := bits.Len64(uint64(d - 1))
-	if b > 63 {
-		b = 63
-	}
-	return b
-}
-
-// refreshSlow recomputes the cached p99 root-duration threshold and the
-// cross-domain root total. Called once per 64 finished roots per domain.
-func (c *Collector) refreshSlow() {
-	var total int64
-	for i := range c.rootBkts {
-		total += c.rootBkts[i].Load()
-	}
-	c.rootTotal.Store(total)
-	target := total - total/100 // count at or below p99
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i := range c.rootBkts {
-		cum += c.rootBkts[i].Load()
-		if cum >= target {
-			c.slowNs.Store(int64(1) << uint(i))
-			return
-		}
+	if c.retainLimit != 0 && telemetry.Mix(d.roots*31+r.Trace) <= c.retainLimit {
+		c.mark(r.Trace, retainSampled)
 	}
 }
 
@@ -466,11 +293,7 @@ func (c *Collector) Sweep() {
 	if c.markCount.Load() == 0 {
 		return
 	}
-	var all []Span
-	for i := range c.doms {
-		all = c.doms[i].snapshot(i, all)
-	}
-	c.applyNames(all)
+	all := c.spans()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i := 0; i < markSlots; i++ {
@@ -519,13 +342,29 @@ func (c *Collector) Sweep() {
 	}
 }
 
-// Recent snapshots every domain ring, merged and sorted by start time.
-func (c *Collector) Recent() []Span {
+// spans is the span view of the stream: every domain's traced records,
+// named, in ring order per domain.
+func (c *Collector) spans() []Span {
 	var all []Span
-	for i := range c.doms {
-		all = c.doms[i].snapshot(i, all)
+	var recs []telemetry.Record
+	traced := func(r *telemetry.Record) bool { return r.Trace != 0 }
+	for dom := range c.doms {
+		recs = c.st.Records(dom, traced, recs[:0])
+		for _, r := range recs {
+			all = append(all, Span{
+				Trace: r.Trace, ID: r.Span, Parent: r.Parent,
+				Event: r.Event, Name: c.st.EventName(r.Event), Domain: dom,
+				Kind: Kind(r.Kind), Tier: Tier(r.Tier), Flags: Flags(r.Flags),
+				Mode: enumName(modeNames[:], r.Mode, "mode"), Start: r.Start, End: r.End,
+			})
+		}
 	}
-	c.applyNames(all)
+	return all
+}
+
+// Recent snapshots every domain's spans, merged and sorted by start time.
+func (c *Collector) Recent() []Span {
+	all := c.spans()
 	sort.SliceStable(all, func(i, j int) bool { return all[i].Start < all[j].Start })
 	return all
 }
@@ -549,13 +388,13 @@ func (c *Collector) Traces() []Trace {
 	return out
 }
 
-// Stats snapshots the collector counters. Spans is derived from the
-// ring heads (one record per head bump); RootsSeen is the batch-flushed
-// draw counter and may lag the true count by up to domains*31.
+// Stats snapshots the collector counters. RootsSeen is the
+// batch-flushed draw counter and may lag the true count by up to
+// domains*31.
 func (c *Collector) Stats() Stats {
 	var spans int64
 	for i := range c.doms {
-		spans += int64(c.doms[i].head.Load())
+		spans += int64(c.st.Traced(i))
 	}
 	return Stats{
 		RootsSeen:     c.rootsSeen.Load(),

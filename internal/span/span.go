@@ -5,8 +5,10 @@
 // drains, timer-deferred retries, dead-letter replays and post-deopt
 // generic replays. The runtime threads two fixed-size words (trace ID +
 // parent span ID) through the pooled activation records and timer
-// entries, so propagation costs no allocation; spans land in per-domain
-// seqlock rings modeled on the telemetry flight recorder.
+// entries, so propagation costs no allocation; spans are the traced
+// records of the per-domain observation stream (telemetry.Stream) that
+// the flight recorder also reads, so an activation that is both timed
+// and traced is written once.
 //
 // Retention is tail-based: faulted traces are always kept, roots slower
 // than the live p99 are marked for retention, and a hash-sampled
@@ -18,6 +20,7 @@ package span
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -57,34 +60,42 @@ var kindNames = [numKinds]string{
 	"root", "sync", "async", "coalesced", "timer", "retry", "dead-letter", "handoff",
 }
 
-func (k Kind) String() string {
-	if int(k) < len(kindNames) {
-		return kindNames[k]
-	}
-	return fmt.Sprintf("kind(%d)", uint8(k))
-}
+func (k Kind) String() string { return enumName(kindNames[:], uint8(k), "kind") }
 
 // MarshalJSON renders the kind as its symbolic name.
 func (k Kind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
 
 // UnmarshalJSON accepts the symbolic name (or a legacy integer).
 func (k *Kind) UnmarshalJSON(b []byte) error {
+	n, err := parseEnum(b, kindNames[:], "kind")
+	if err == nil {
+		*k = Kind(n)
+	}
+	return err
+}
+
+// enumName is the symbolic name of v, or what(v) past the table.
+func enumName(names []string, v uint8, what string) string {
+	if int(v) < len(names) {
+		return names[v]
+	}
+	return fmt.Sprintf("%s(%d)", what, v)
+}
+
+// parseEnum decodes a symbolic name from names (or a legacy integer).
+func parseEnum(b []byte, names []string, what string) (uint8, error) {
 	var s string
 	if err := json.Unmarshal(b, &s); err != nil {
 		var n uint8
-		if err2 := json.Unmarshal(b, &n); err2 == nil {
-			*k = Kind(n)
-			return nil
+		if json.Unmarshal(b, &n) == nil {
+			return n, nil
 		}
-		return err
+		return 0, err
 	}
-	for i, name := range kindNames {
-		if name == s {
-			*k = Kind(i)
-			return nil
-		}
+	if i := slices.Index(names, s); i >= 0 {
+		return uint8(i), nil
 	}
-	return fmt.Errorf("span: unknown kind %q", s)
+	return 0, fmt.Errorf("span: unknown %s %q", what, s)
 }
 
 // Tier says which execution tier ran the span's handlers, mirroring the
@@ -103,34 +114,18 @@ const (
 
 var tierNames = [numTiers]string{"generic", "fast", "hir", "generated"}
 
-func (t Tier) String() string {
-	if int(t) < len(tierNames) {
-		return tierNames[t]
-	}
-	return fmt.Sprintf("tier(%d)", uint8(t))
-}
+func (t Tier) String() string { return enumName(tierNames[:], uint8(t), "tier") }
 
 // MarshalJSON renders the tier as its symbolic name.
 func (t Tier) MarshalJSON() ([]byte, error) { return json.Marshal(t.String()) }
 
 // UnmarshalJSON accepts the symbolic name (or a legacy integer).
 func (t *Tier) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		var n uint8
-		if err2 := json.Unmarshal(b, &n); err2 == nil {
-			*t = Tier(n)
-			return nil
-		}
-		return err
+	n, err := parseEnum(b, tierNames[:], "tier")
+	if err == nil {
+		*t = Tier(n)
 	}
-	for i, name := range tierNames {
-		if name == s {
-			*t = Tier(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("span: unknown tier %q", s)
+	return err
 }
 
 // Flags annotate why a span took the path it did.
@@ -150,24 +145,14 @@ const (
 	FlagDeoptReplay
 )
 
-var flagNames = []struct {
-	f    Flags
-	name string
-}{
-	{FlagFault, "fault"},
-	{FlagGuardFallback, "guard-fallback"},
-	{FlagSegFallback, "seg-fallback"},
-	{FlagDeoptReplay, "deopt-replay"},
-}
+// flagNames names the flag bits, lowest first.
+var flagNames = [...]string{"fault", "guard-fallback", "seg-fallback", "deopt-replay"}
 
 func (f Flags) String() string {
-	if f == 0 {
-		return ""
-	}
 	var parts []string
-	for _, fn := range flagNames {
-		if f&fn.f != 0 {
-			parts = append(parts, fn.name)
+	for i, name := range flagNames {
+		if f&(1<<i) != 0 {
+			parts = append(parts, name)
 		}
 	}
 	return strings.Join(parts, ",")
@@ -181,7 +166,7 @@ func (f *Flags) UnmarshalJSON(b []byte) error {
 	var s string
 	if err := json.Unmarshal(b, &s); err != nil {
 		var n uint8
-		if err2 := json.Unmarshal(b, &n); err2 == nil {
+		if json.Unmarshal(b, &n) == nil {
 			*f = Flags(n)
 			return nil
 		}
@@ -192,41 +177,18 @@ func (f *Flags) UnmarshalJSON(b []byte) error {
 		return nil
 	}
 	for _, part := range strings.Split(s, ",") {
-		found := false
-		for _, fn := range flagNames {
-			if fn.name == part {
-				*f |= fn.f
-				found = true
-				break
-			}
-		}
-		if !found {
+		i := slices.Index(flagNames[:], part)
+		if i < 0 {
 			return fmt.Errorf("span: unknown flag %q", part)
 		}
+		*f |= 1 << i
 	}
 	return nil
 }
 
-// Mode mirrors event.Mode without importing the event package (span sits
-// below event in the dependency order).
-const (
-	ModeSync  uint8 = 0
-	ModeAsync uint8 = 1
-	ModeTimed uint8 = 2
-)
-
-func modeName(m uint8) string {
-	switch m {
-	case ModeSync:
-		return "sync"
-	case ModeAsync:
-		return "async"
-	case ModeTimed:
-		return "timed"
-	default:
-		return fmt.Sprintf("mode(%d)", m)
-	}
-}
+// modeNames names event.Mode values (span sits below event in the
+// dependency order, so it cannot import the type).
+var modeNames = [...]string{"sync", "async", "timed"}
 
 // Span is one recorded hop of a trace. IDs are dense per domain:
 // bits 48..63 carry domain+1, the low 48 bits a per-domain sequence, so
@@ -252,26 +214,3 @@ func (sp Span) Duration() int64 { return sp.End - sp.Start }
 
 // Root reports whether the span started its trace.
 func (sp Span) Root() bool { return sp.ID == sp.Trace }
-
-// meta packs the non-ID scalar fields of a span into one atomic word:
-//
-//	bits  0..31  event ID
-//	bits 32..35  kind
-//	bits 36..39  tier
-//	bits 40..47  flags
-//	bits 48..51  mode
-func packMeta(ev int32, kind Kind, tier Tier, flags Flags, mode uint8) uint64 {
-	return uint64(uint32(ev)) |
-		uint64(kind&0xF)<<32 |
-		uint64(tier&0xF)<<36 |
-		uint64(flags)<<40 |
-		uint64(mode&0xF)<<48
-}
-
-func unpackMeta(m uint64) (ev int32, kind Kind, tier Tier, flags Flags, mode uint8) {
-	return int32(uint32(m)),
-		Kind(m >> 32 & 0xF),
-		Tier(m >> 36 & 0xF),
-		Flags(m >> 40 & 0xFF),
-		uint8(m >> 48 & 0xF)
-}

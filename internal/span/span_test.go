@@ -5,13 +5,31 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"eventopt/internal/telemetry"
 )
 
+// record writes one finished span on domain 0 of c's stream.
+func record(c *Collector, trace, id, parent uint64, ev int32, kind Kind, tier Tier, flags Flags, mode uint8, start, end int64) {
+	c.Record(0, &telemetry.Record{
+		Trace: trace, Span: id, Parent: parent, Event: ev,
+		Kind: uint8(kind), Tier: uint8(tier), Flags: uint8(flags), Mode: mode,
+		Start: start, End: end,
+	})
+}
+
+// TestMetaPackRoundTrip: a span's scalars survive the stream record's
+// packed metadata word.
 func TestMetaPackRoundTrip(t *testing.T) {
-	ev, kind, tier, flags, mode := int32(1234567), KindRetry, TierGenerated, FlagFault|FlagDeoptReplay, ModeTimed
-	gotEv, gotKind, gotTier, gotFlags, gotMode := unpackMeta(packMeta(ev, kind, tier, flags, mode))
-	if gotEv != ev || gotKind != kind || gotTier != tier || gotFlags != flags || gotMode != mode {
-		t.Fatalf("round trip mismatch: got (%d %v %v %v %d)", gotEv, gotKind, gotTier, gotFlags, gotMode)
+	c := NewCollector(telemetry.NewStream(1, 0), Config{RetainEvery: DisableRetention})
+	ev, kind, tier, flags := int32(1234567), KindRetry, TierGenerated, FlagFault|FlagDeoptReplay
+	record(c, 1, 2, 1, ev, kind, tier, flags, 2, 10, 20)
+	got := c.Recent()
+	if len(got) != 1 {
+		t.Fatalf("recorded 1 span, read %d", len(got))
+	}
+	if sp := got[0]; sp.Event != ev || sp.Kind != kind || sp.Tier != tier || sp.Flags != flags || sp.Mode != "timed" {
+		t.Fatalf("round trip mismatch: got %+v", sp)
 	}
 }
 
@@ -36,7 +54,7 @@ func TestEnumJSONRoundTrip(t *testing.T) {
 }
 
 func TestIDsUniqueAcrossDomains(t *testing.T) {
-	c := NewCollector(3, Config{})
+	c := NewCollector(telemetry.NewStream(3, 0), Config{})
 	seen := map[uint64]bool{}
 	for dom := 0; dom < 3; dom++ {
 		for i := 0; i < 100; i++ {
@@ -50,16 +68,16 @@ func TestIDsUniqueAcrossDomains(t *testing.T) {
 }
 
 func TestSampleRootPeriod(t *testing.T) {
-	c := NewCollector(1, Config{SampleEvery: 1})
+	c := NewCollector(telemetry.NewStream(1, 0), Config{SampleEvery: 1})
 	for i := 0; i < 50; i++ {
-		if !c.SampleRoot(0) {
+		if !c.SampleRoot(0, c.st.Draw(0)) {
 			t.Fatal("SampleEvery=1 must sample every root")
 		}
 	}
-	c = NewCollector(1, Config{SampleEvery: 8})
+	c = NewCollector(telemetry.NewStream(1, 0), Config{SampleEvery: 8})
 	hits := 0
 	for i := 0; i < 8000; i++ {
-		if c.SampleRoot(0) {
+		if c.SampleRoot(0, c.st.Draw(0)) {
 			hits++
 		}
 	}
@@ -69,10 +87,10 @@ func TestSampleRootPeriod(t *testing.T) {
 }
 
 func TestRingOverwriteKeepsNewest(t *testing.T) {
-	c := NewCollector(1, Config{SampleEvery: 1, RingSize: 16, RetainEvery: DisableRetention})
+	c := NewCollector(telemetry.NewStream(1, 16), Config{SampleEvery: 1, RetainEvery: DisableRetention})
 	for i := 0; i < 40; i++ {
 		id := c.NextID(0)
-		c.Record(0, id, id, 0, int32(i), KindRoot, TierGeneric, 0, ModeSync, int64(i), int64(i)+1)
+		record(c, id, id, 0, int32(i), KindRoot, TierGeneric, 0, 0, int64(i), int64(i)+1)
 	}
 	got := c.Recent()
 	if len(got) != 16 {
@@ -84,11 +102,11 @@ func TestRingOverwriteKeepsNewest(t *testing.T) {
 }
 
 func TestFaultedTraceRetainedImmediately(t *testing.T) {
-	c := NewCollector(1, Config{SampleEvery: 1, RetainEvery: DisableRetention})
+	c := NewCollector(telemetry.NewStream(1, 0), Config{SampleEvery: 1, RetainEvery: DisableRetention})
 	root := c.NextID(0)
-	c.Record(0, root, root, 0, 1, KindRoot, TierGeneric, 0, ModeSync, 0, 10)
+	record(c, root, root, 0, 1, KindRoot, TierGeneric, 0, 0, 0, 10)
 	child := c.NextID(0)
-	c.Record(0, root, child, root, 2, KindSync, TierFast, FlagFault, ModeSync, 2, 8)
+	record(c, root, child, root, 2, KindSync, TierFast, FlagFault, 0, 2, 8)
 	traces := c.Traces()
 	if len(traces) != 1 || traces[0].Reason != "fault" {
 		t.Fatalf("want one faulted trace, got %+v", traces)
@@ -99,15 +117,15 @@ func TestFaultedTraceRetainedImmediately(t *testing.T) {
 }
 
 func TestSweepMergesLateSpans(t *testing.T) {
-	c := NewCollector(1, Config{SampleEvery: 1, RetainEvery: DisableRetention})
+	c := NewCollector(telemetry.NewStream(1, 0), Config{SampleEvery: 1, RetainEvery: DisableRetention})
 	root := c.NextID(0)
-	c.Record(0, root, root, 0, 1, KindRoot, TierGeneric, FlagFault, ModeSync, 0, 10)
+	record(c, root, root, 0, 1, KindRoot, TierGeneric, FlagFault, 0, 0, 10)
 	if got := c.Traces(); len(got) != 1 || len(got[0].Spans) != 1 {
 		t.Fatalf("first sweep: %+v", got)
 	}
 	// A late async span of the same trace lands after the first sweep.
 	late := c.NextID(0)
-	c.Record(0, root, late, root, 3, KindAsync, TierGeneric, 0, ModeAsync, 20, 30)
+	record(c, root, late, root, 3, KindAsync, TierGeneric, 0, 1, 20, 30)
 	got := c.Traces()
 	if len(got) != 1 || len(got[0].Spans) != 2 {
 		t.Fatalf("late span not merged: %+v", got)
@@ -115,12 +133,12 @@ func TestSweepMergesLateSpans(t *testing.T) {
 }
 
 func TestRetainedEviction(t *testing.T) {
-	c := NewCollector(1, Config{SampleEvery: 1, RetainEvery: DisableRetention, MaxRetained: 2})
+	c := NewCollector(telemetry.NewStream(1, 0), Config{SampleEvery: 1, RetainEvery: DisableRetention, MaxRetained: 2})
 	var roots []uint64
 	for i := 0; i < 4; i++ {
 		id := c.NextID(0)
 		roots = append(roots, id)
-		c.Record(0, id, id, 0, int32(i), KindRoot, TierGeneric, FlagFault, ModeSync, int64(i*10), int64(i*10)+5)
+		record(c, id, id, 0, int32(i), KindRoot, TierGeneric, FlagFault, 0, int64(i*10), int64(i*10)+5)
 	}
 	traces := c.Traces()
 	if len(traces) != 2 {
@@ -135,17 +153,17 @@ func TestRetainedEviction(t *testing.T) {
 }
 
 func TestSlowThresholdMarksTail(t *testing.T) {
-	c := NewCollector(1, Config{SampleEvery: 1, RetainEvery: DisableRetention, SlowAfter: 64})
+	c := NewCollector(telemetry.NewStream(1, 0), Config{SampleEvery: 1, RetainEvery: DisableRetention, SlowAfter: 64})
 	// 512 fast roots (≤64ns), then slow ones must be marked.
 	for i := 0; i < 512; i++ {
 		id := c.NextID(0)
-		c.Record(0, id, id, 0, 1, KindRoot, TierGeneric, 0, ModeSync, 0, 64)
+		record(c, id, id, 0, 1, KindRoot, TierGeneric, 0, 0, 0, 64)
 	}
 	if c.SlowThresholdNs() == 0 {
 		t.Fatal("slow threshold never computed")
 	}
 	id := c.NextID(0)
-	c.Record(0, id, id, 0, 1, KindRoot, TierGeneric, 0, ModeSync, 0, 1<<20)
+	record(c, id, id, 0, 1, KindRoot, TierGeneric, 0, 0, 0, 1<<20)
 	if c.Stats().SlowRoots == 0 {
 		t.Fatal("slow root not marked")
 	}

@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Activation outcomes recorded in the flight recorder.
 const (
@@ -26,134 +23,27 @@ type FlightRecord struct {
 	Cause    string `json:"cause,omitempty"` // first recovered panic, "" when OutcomeOK
 }
 
-// flightSlot is one ring cell. Every field is atomic so the single
-// per-domain writer and any number of snapshot readers stay race-free
-// without a lock; seq doubles as the torn-read detector (a reader
-// accepts a cell only when seq reads the same expected value before and
-// after copying the payload). The small scalar fields (event, mode,
-// outcome, attempt) are packed into one word so a record costs four
-// atomic stores plus seq bracketing, not eight — atomic stores are the
-// bulk of the sampled-activation cost the overhead gate bounds.
-type flightSlot struct {
-	seq   atomic.Uint64 // record sequence + 1; 0 = never written
-	meta  atomic.Uint64 // packMeta: event | mode | outcome | attempt
-	dur   atomic.Int64
-	end   atomic.Int64
-	cause atomic.Pointer[string]
-}
-
-// packMeta packs the per-record scalars into one word:
-// bits 0-31 event ID, 32-39 mode, 40-47 outcome, 48-63 attempt (capped).
-func packMeta(ev int32, mode, outcome uint8, attempt int) uint64 {
-	if attempt < 0 {
-		attempt = 0
-	}
-	if attempt > 0xFFFF {
-		attempt = 0xFFFF
-	}
-	return uint64(uint32(ev)) | uint64(mode)<<32 | uint64(outcome)<<40 | uint64(attempt)<<48
-}
-
-func unpackMeta(m uint64) (ev int32, mode, outcome uint8, attempt int) {
-	return int32(uint32(m)), uint8(m >> 32), uint8(m >> 40), int(m >> 48)
-}
-
-// flightRing is a bounded single-writer multi-reader ring of the last N
-// activation records of one domain. The writer (the domain's dispatch
-// path, serialized by the domain's atomicity lock) never blocks and
-// never allocates; readers copy slots optimistically and discard the
-// ones the writer was overwriting mid-copy.
-type flightRing struct {
-	mask  uint64
-	head  atomic.Uint64 // next sequence number to write
-	slots []flightSlot
-}
-
-func (r *flightRing) init(size int) {
-	n := 16
-	for n < size {
-		n <<= 1
-	}
-	r.slots = make([]flightSlot, n)
-	r.mask = uint64(n - 1)
-}
-
-// record appends one activation record. Single writer per ring.
-func (r *flightRing) record(ev int32, mode, outcome uint8, attempt int, dur, end int64, cause *string) {
-	seq := r.head.Load()
-	s := &r.slots[seq&r.mask]
-	s.seq.Store(0) // invalidate while the payload is in flux
-	s.meta.Store(packMeta(ev, mode, outcome, attempt))
-	s.dur.Store(dur)
-	s.end.Store(end)
-	s.cause.Store(cause)
-	s.seq.Store(seq + 1)
-	r.head.Store(seq + 1)
-}
-
-// snapshot copies the ring's valid records, oldest first.
-func (r *flightRing) snapshot(dom int, name func(int32) string) []FlightRecord {
-	head := r.head.Load()
-	n := uint64(len(r.slots))
-	start := uint64(0)
-	if head > n {
-		start = head - n
-	}
-	out := make([]FlightRecord, 0, head-start)
-	for seq := start; seq < head; seq++ {
-		s := &r.slots[seq&r.mask]
-		want := seq + 1
-		if s.seq.Load() != want {
-			continue // overwritten (or mid-write): the record is gone
-		}
-		ev, mode, outcome, attempt := unpackMeta(s.meta.Load())
-		rec := FlightRecord{
-			Seq:      seq,
-			Event:    ev,
-			Mode:     mode,
-			Domain:   dom,
-			Outcome:  outcome,
-			Attempt:  attempt,
-			Duration: s.dur.Load(),
-			End:      s.end.Load(),
-		}
-		if c := s.cause.Load(); c != nil {
-			rec.Cause = *c
-		}
-		if s.seq.Load() != want {
-			continue // torn: the writer lapped us during the copy
-		}
-		rec.Name = name(rec.Event)
-		out = append(out, rec)
-	}
-	return out
-}
-
-// RecordActivation appends one completed top-level activation to domain
-// dom's flight ring. cause is nil for clean activations; a non-nil cause
-// carries the first recovered panic of the activation. The call is
-// allocation-free; it must be made from the domain's serialized dispatch
-// path (single writer per ring).
-func (t *Telemetry) RecordActivation(dom int, ev int32, mode, outcome uint8, attempt int, durNs, endNs int64, cause *string) {
-	if dom < 0 || dom >= len(t.doms) {
-		return
-	}
-	d := t.doms[dom]
-	if outcome == OutcomeFault {
-		if h := d.hist(ev); h != nil {
-			h.faults.Add(1)
-		}
-	}
-	d.flight.record(ev, mode, outcome, attempt, durNs, endNs, cause)
-}
-
-// FlightRecords returns a copy of domain dom's ring, oldest record
-// first. Safe to call concurrently with recording.
+// FlightRecords returns domain dom's flight view, oldest record first:
+// the stream's top-level records, i.e. every timed or faulted top-level
+// activation and, when span tracing shares the stream, every traced one.
+// Safe to call concurrently with recording.
 func (t *Telemetry) FlightRecords(dom int) []FlightRecord {
 	if dom < 0 || dom >= len(t.doms) {
 		return nil
 	}
-	return t.doms[dom].flight.snapshot(dom, t.EventName)
+	recs := t.st.Records(dom, func(r *Record) bool { return !r.Nested }, nil)
+	out := make([]FlightRecord, len(recs))
+	for i, r := range recs {
+		out[i] = FlightRecord{
+			Seq: r.Seq, Event: r.Event, Name: t.st.EventName(r.Event), Mode: r.Mode,
+			Domain: dom, Outcome: r.Outcome, Attempt: r.Attempt,
+			Duration: r.End - r.Start, End: r.End,
+		}
+		if r.Cause != nil {
+			out[i].Cause = *r.Cause
+		}
+	}
+	return out
 }
 
 // FlightDump is one automatic post-mortem capture: the flight ring of

@@ -1,6 +1,10 @@
 package telemetry
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -61,4 +65,42 @@ func TestFlightDumpValidate(t *testing.T) {
 	if got := nilDump.Validate(); len(got) != 1 {
 		t.Errorf("nil dump: %v", got)
 	}
+}
+
+// FuzzFlightDump feeds arbitrary bytes through the decode-and-validate
+// path evprof -check applies to saved flight dumps. Decoding and
+// validation must never panic, and a dump Validate accepts must survive
+// a JSON re-encode unchanged and still validate clean. The seed
+// testdata/faultinject_dump.json is the quarantine dump of a seccomm
+// run with injected push-chaos faults (internal/faultinject) on the
+// real clock.
+func FuzzFlightDump(f *testing.F) {
+	seed, err := os.ReadFile("testdata/faultinject_dump.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	f.Add([]byte(`{"reason":"x","seq":1,"records":null}`))
+	f.Add([]byte(`[]`))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var d FlightDump
+		if json.NewDecoder(bytes.NewReader(in)).Decode(&d) != nil || d.Validate() != nil {
+			return
+		}
+		out, err := json.Marshal(&d)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		var again FlightDump
+		if err := json.Unmarshal(out, &again); err != nil {
+			t.Fatalf("re-encoded dump rejected: %v", err)
+		}
+		if vs := again.Validate(); vs != nil {
+			t.Fatalf("re-encoded dump invalid: %v", vs)
+		}
+		if !reflect.DeepEqual(d, again) {
+			t.Fatalf("round trip changed the dump:\n in=%+v\nout=%+v", d, again)
+		}
+	})
 }

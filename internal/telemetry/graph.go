@@ -18,55 +18,23 @@ type edgeCounter struct {
 	syncWeight atomic.Int64
 }
 
-// RecordEdge feeds one event occurrence of domain dom into the sampled
-// continuous graph feed. It mirrors the offline GraphBuilder: adjacent
-// events of one domain's stream form an edge, sync dispatches also bump
-// the edge's sync weight. Only every SampleEvery-th pair is counted;
-// the rest of the call is two scalar writes. Must be called from the
-// domain's serialized dispatch path.
-func (t *Telemetry) RecordEdge(dom int, ev int32, sync bool) {
-	if dom < 0 || dom >= len(t.doms) {
-		return
-	}
-	t.recordEdge(t.doms[dom], ev, sync)
-}
-
-func (t *Telemetry) recordEdge(d *domainTel, ev int32, sync bool) {
-	prev, had := d.prev, d.hasPrev
-	d.prev, d.hasPrev = ev, true
-	if !had {
-		return
-	}
-	d.tick++
-	// Hash the tick before the 1-in-N draw: a plain stride aliases with
-	// periodic event streams (a strict a,b,a,b loop would put every
-	// sampled tick on the same edge and hide the other), while the mixed
-	// counter keeps the draw deterministic per run. The threshold compare
-	// (h <= MaxUint64/N) avoids a division on the unsampled path.
-	h := d.tick * 0x9E3779B97F4A7C15
-	h ^= h >> 29
-	if h > t.edgeLimit {
-		return
-	}
-	t.bumpEdge(prev, ev, sync)
-}
-
-// RecordDispatch is the fused dispatch-path entry: it feeds the graph
-// sampler with one event occurrence and draws the timed-path sampling
-// decision, sharing one bounds check and one domain load. This is what
-// the runtime calls on every dispatch; the split
-// RecordEdge/SampleTimed pair remains for callers that need only one
-// half. Must be called from the domain's serialized dispatch path.
-func (t *Telemetry) RecordDispatch(dom int, ev int32, sync bool) (timed bool) {
+// RecordDispatch feeds one event occurrence of domain dom, with the
+// dispatch's one Stream.Draw, into the sampled graph feed and reports
+// whether the dispatch is timed. Like the offline GraphBuilder, adjacent
+// events of one domain form an edge, and sync dispatches also bump its
+// sync weight; a pair counts when the draw is under the graph threshold.
+// Must be called from the domain's serialized dispatch path.
+func (t *Telemetry) RecordDispatch(dom int, ev int32, sync bool, draw uint64) (timed bool) {
 	if dom < 0 || dom >= len(t.doms) {
 		return false
 	}
 	d := t.doms[dom]
-	t.recordEdge(d, ev, sync)
-	d.ttick++
-	h := d.ttick * 0x9E3779B97F4A7C15
-	h ^= h >> 29
-	return h <= t.timedLimit
+	prev, had := d.prev, d.hasPrev
+	d.prev, d.hasPrev = ev, true
+	if had && draw <= t.edgeLimit {
+		t.bumpEdge(prev, ev, sync)
+	}
+	return draw <= t.timedLimit
 }
 
 func (t *Telemetry) bumpEdge(from, to int32, sync bool) {

@@ -1,17 +1,18 @@
 // Package telemetry is the always-on observability layer of the event
-// runtime: per-event/per-domain latency and queue-delay histograms, a
-// per-domain lock-free flight recorder (the last N activations, dumped
-// automatically on quarantine or dead-letter), and a sampled continuous
-// event-graph feed that keeps the paper's GraphBuilder structures
-// (internal/profile) current at runtime instead of requiring a separate
-// offline trace run.
+// runtime: the per-domain observation stream (one lock-free record ring
+// and one sampling draw per dispatch, shared with the span collector),
+// per-event/per-domain latency and queue-delay histograms, the flight
+// recorder (the stream's top-level records, dumped automatically on
+// quarantine or dead-letter), and a sampled continuous event-graph feed
+// that keeps the paper's GraphBuilder structures (internal/profile)
+// current at runtime instead of requiring a separate offline trace run.
 //
 // The package deliberately depends on nothing but the standard library
 // and speaks in primitive types (int32 event IDs, uint8 modes): the
 // event runtime imports telemetry, and higher layers (internal/profile,
 // internal/telemetry/httpdebug, the tools) join the two vocabularies.
 //
-// Every record path — histogram record, flight-slot write, edge bump —
+// Every record path — histogram record, stream write, edge bump —
 // is allocation-free in steady state so the runtime's zero-allocation
 // dispatch gates hold with telemetry enabled. Growth (new events, new
 // edges) happens copy-on-write under a mutex off the hot path.

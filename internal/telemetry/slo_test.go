@@ -6,7 +6,7 @@ import "testing"
 // it; latencies are injected directly so the watchdog math is tested in
 // isolation from the event runtime.
 func sloTel() *Telemetry {
-	tel := New(1, Config{})
+	tel := New(NewStream(1, 0), Config{})
 	tel.DefineEvent(0, "req")
 	return tel
 }
@@ -128,7 +128,7 @@ func TestWatchdogWindowsAreDeltas(t *testing.T) {
 }
 
 func TestWatchdogWildcardAndCallback(t *testing.T) {
-	tel := New(1, Config{})
+	tel := New(NewStream(1, 0), Config{})
 	tel.DefineEvent(0, "a")
 	tel.DefineEvent(1, "b")
 	var got []SLOBreach

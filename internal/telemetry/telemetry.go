@@ -8,26 +8,28 @@ import (
 
 // Config tunes the telemetry layer. The zero value selects the defaults.
 type Config struct {
-	// FlightSize is the per-domain flight-recorder capacity in records
-	// (rounded up to a power of two; default 256, minimum 16).
-	FlightSize int
+	// RingSize is the per-domain record capacity of the observation
+	// stream the flight recorder and span collector share (see NewStream).
+	RingSize int
 	// SampleEvery is the sampling period of the continuous event-graph
 	// feed: on average one in SampleEvery adjacent event pairs of a
 	// domain's stream bumps its edge counter (default 16; 1 records every
 	// pair, matching the paper's offline GraphBuilder exactly). The draw
-	// hashes a per-domain pair counter, so it is deterministic per run
-	// but does not alias with periodic event streams. Reported edge
+	// is the stream's hashed per-dispatch counter, so it is deterministic
+	// per run but does not alias with periodic event streams. Reported edge
 	// weights are raw sampled counts; multiply by SampleEvery to estimate
 	// true traversal counts.
 	SampleEvery int
 	// TimeSampleEvery is the sampling period of the timed path: on
-	// average one in TimeSampleEvery top-level activations is fully
-	// timed — two clock reads, a latency-histogram record and a flight-
-	// recorder record (default 64; 1 times every activation). Faulted
-	// activations are always appended to the flight ring so quarantine
-	// and dead-letter dumps capture them, but their Duration is 0 unless
-	// the activation was also sampled. The draw hashes a per-domain
-	// counter, so it does not alias with periodic workloads. Histogram
+	// average one in TimeSampleEvery activations is fully timed — two
+	// clock reads, a latency-histogram record and, at top level, a
+	// flight-recorder record (default 64; 1 times every activation).
+	// Faulted top-level activations are always appended to the flight
+	// ring so quarantine and dead-letter dumps capture them, but their
+	// Duration is 0 unless the activation was also timed or traced. The
+	// timed path, graph feed and span roots share the one draw, so a
+	// timed activation is also a graph sample and, at top level, a root.
+	// Histogram
 	// counts are sampled counts; multiply by TimeSampleEvery to estimate
 	// true activation counts (means and quantiles need no scaling).
 	TimeSampleEvery int
@@ -38,12 +40,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.FlightSize <= 0 {
-		c.FlightSize = 256
-	}
-	if c.FlightSize < 16 {
-		c.FlightSize = 16
-	}
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = 16
 	}
@@ -54,30 +50,33 @@ func (c Config) withDefaults() Config {
 }
 
 // eventHists is the histogram pair of one (event, domain) cell, plus
-// the cell's fault counter (every faulted activation counts, not just
-// sampled ones — faults always reach RecordActivation).
+// the cell's fault counter (every faulted top-level activation counts,
+// not just sampled ones).
 type eventHists struct {
 	lat    Histogram // activation latency (dispatch entry to completion)
 	qdel   Histogram // queue delay (enqueue/due time to pop)
 	faults atomic.Int64
 }
 
-// domainTel is the per-domain half of the telemetry state. The mutable
-// scalar fields (prev, hasPrev, tick) belong to the continuous graph
-// feed and are written only from record calls made under the owning
-// domain's atomicity serialization, so they need no further locking.
+// domainTel is the per-domain half of the telemetry state. The graph
+// feed writes prev and hasPrev on every dispatch, under the owning
+// domain's atomicity serialization (so without a lock); the padding
+// keeps them off other domains' cache lines.
 type domainTel struct {
-	hists  atomic.Pointer[[]*eventHists] // indexed by event ID; copy-on-write growth
-	flight flightRing
+	hists atomic.Pointer[[]*eventHists] // indexed by event ID; copy-on-write growth
 
 	prev    int32
 	hasPrev bool
-	tick    uint64
-	ttick   uint64 // timed-path sampling counter (separate stream from tick)
+	_       [48]byte
 }
 
-func (d *domainTel) hist(ev int32) *eventHists {
-	tab := d.hists.Load()
+// cell returns the (event, domain) cell, or nil for an unknown event or
+// an out-of-range domain.
+func (t *Telemetry) cell(dom int, ev int32) *eventHists {
+	if dom < 0 || dom >= len(t.doms) {
+		return nil
+	}
+	tab := t.doms[dom].hists.Load()
 	if tab == nil || ev < 0 || int(ev) >= len(*tab) {
 		return nil
 	}
@@ -85,23 +84,20 @@ func (d *domainTel) hist(ev int32) *eventHists {
 }
 
 // Telemetry is the live observability state of one event runtime: one
-// domainTel per event domain plus the shared name table, edge map and
-// last-dump slot. All record methods are allocation-free in steady
-// state; growth happens in DefineEvent and on first sighting of a new
-// graph edge.
+// domainTel per event domain plus the observation stream (whose
+// top-level records are the flight recorder), edge map and last-dump
+// slot. All record methods are allocation-free in steady state; growth
+// happens in DefineEvent and on first sighting of a new graph edge.
 type Telemetry struct {
 	cfg  Config
+	st   *Stream
 	doms []*domainTel
 
-	// Sampling thresholds: a hashed counter h samples its tick when
-	// h <= limit, with limit = MaxUint64/N. A threshold compare costs a
-	// predictable branch where a modulo draw costs a hardware division —
-	// the difference is visible on the sub-150ns raise path.
+	// Thresholds on the stream's per-dispatch draw (see Limit).
 	edgeLimit  uint64
 	timedLimit uint64
 
-	mu    sync.Mutex               // guards growth: names, hist tables, edges
-	names atomic.Pointer[[]string] // event ID -> name
+	mu    sync.Mutex // guards growth: hist tables, edges
 	edges atomic.Pointer[map[edgeKey]*edgeCounter]
 
 	lastDump atomic.Pointer[FlightDump]
@@ -110,19 +106,16 @@ type Telemetry struct {
 	optimizer atomic.Pointer[OptimizerSnapshot] // adaptive controller state (optimizer.go)
 }
 
-// New creates a telemetry instance for a runtime with the given number
-// of event domains.
-func New(domains int, cfg Config) *Telemetry {
-	if domains < 1 {
-		domains = 1
-	}
-	t := &Telemetry{cfg: cfg.withDefaults()}
-	t.edgeLimit = ^uint64(0) / uint64(t.cfg.SampleEvery)
-	t.timedLimit = ^uint64(0) / uint64(t.cfg.TimeSampleEvery)
-	t.doms = make([]*domainTel, domains)
+// New creates a telemetry instance that records into st, the runtime's
+// observation stream (which the span collector may share). The runtime
+// sizes st from cfg.RingSize.
+func New(st *Stream, cfg Config) *Telemetry {
+	t := &Telemetry{cfg: cfg.withDefaults(), st: st}
+	t.edgeLimit = Limit(t.cfg.SampleEvery)
+	t.timedLimit = Limit(t.cfg.TimeSampleEvery)
+	t.doms = make([]*domainTel, st.NumDomains())
 	for i := range t.doms {
 		t.doms[i] = &domainTel{}
-		t.doms[i].flight.init(t.cfg.FlightSize)
 	}
 	empty := make(map[edgeKey]*edgeCounter)
 	t.edges.Store(&empty)
@@ -138,22 +131,6 @@ func (t *Telemetry) SampleEvery() int { return t.cfg.SampleEvery }
 // TimeSampleEvery reports the timed-path sampling period in effect.
 func (t *Telemetry) TimeSampleEvery() int { return t.cfg.TimeSampleEvery }
 
-// SampleTimed draws the timed-path sampling decision for one top-level
-// activation of domain dom: true on average once per TimeSampleEvery
-// calls. Like the graph feed it hashes a per-domain counter, so the
-// draw is deterministic per run but does not alias with periodic
-// workloads. Must be called from the domain's serialized dispatch path.
-func (t *Telemetry) SampleTimed(dom int) bool {
-	if dom < 0 || dom >= len(t.doms) {
-		return false
-	}
-	d := t.doms[dom]
-	d.ttick++
-	h := d.ttick * 0x9E3779B97F4A7C15
-	h ^= h >> 29
-	return h <= t.timedLimit
-}
-
 // DefineEvent registers an event with its display name and pre-grows
 // every domain's histogram table to cover it, so the record paths never
 // allocate. The runtime calls it from System.Define.
@@ -161,20 +138,9 @@ func (t *Telemetry) DefineEvent(ev int32, name string) {
 	if ev < 0 {
 		return
 	}
+	t.st.DefineEvent(ev, name)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var names []string
-	if p := t.names.Load(); p != nil {
-		names = *p
-	}
-	grown := make([]string, len(names))
-	copy(grown, names)
-	for int(ev) >= len(grown) {
-		grown = append(grown, "")
-	}
-	grown[ev] = name
-	t.names.Store(&grown)
-
 	for _, d := range t.doms {
 		var tab []*eventHists
 		if p := d.hists.Load(); p != nil {
@@ -190,21 +156,12 @@ func (t *Telemetry) DefineEvent(ev int32, name string) {
 }
 
 // EventName resolves a registered event name ("" when unknown).
-func (t *Telemetry) EventName(ev int32) string {
-	p := t.names.Load()
-	if p == nil || ev < 0 || int(ev) >= len(*p) {
-		return ""
-	}
-	return (*p)[ev]
-}
+func (t *Telemetry) EventName(ev int32) string { return t.st.EventName(ev) }
 
 // RecordLatency records one activation latency (nanoseconds) of ev on
 // domain dom. Unknown events and out-of-range domains are dropped.
 func (t *Telemetry) RecordLatency(dom int, ev int32, ns int64) {
-	if dom < 0 || dom >= len(t.doms) {
-		return
-	}
-	if h := t.doms[dom].hist(ev); h != nil {
+	if h := t.cell(dom, ev); h != nil {
 		h.lat.Record(ns)
 	}
 }
@@ -213,11 +170,16 @@ func (t *Telemetry) RecordLatency(dom int, ev int32, ns int64) {
 // timed activation of ev spent between becoming runnable and being
 // popped by domain dom's scheduler.
 func (t *Telemetry) RecordQueueDelay(dom int, ev int32, ns int64) {
-	if dom < 0 || dom >= len(t.doms) {
-		return
-	}
-	if h := t.doms[dom].hist(ev); h != nil {
+	if h := t.cell(dom, ev); h != nil {
 		h.qdel.Record(ns)
+	}
+}
+
+// RecordFault counts one faulted top-level activation of ev on domain
+// dom against its (event, domain) cell.
+func (t *Telemetry) RecordFault(dom int, ev int32) {
+	if h := t.cell(dom, ev); h != nil {
+		h.faults.Add(1)
 	}
 }
 

@@ -1,15 +1,9 @@
 package telemetry
 
-import (
-	"bytes"
-	"encoding/json"
-	"strings"
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestEventsAndMerge(t *testing.T) {
-	tel := New(2, Config{})
+	tel := New(NewStream(2, 0), Config{})
 	tel.DefineEvent(0, "a")
 	tel.DefineEvent(1, "b")
 	tel.RecordLatency(0, 0, 100)
@@ -44,14 +38,14 @@ func TestEventsAndMerge(t *testing.T) {
 }
 
 func TestFlightRingWrapAndSnapshot(t *testing.T) {
-	tel := New(1, Config{FlightSize: 16})
+	tel := New(NewStream(1, 16), Config{})
 	tel.DefineEvent(3, "msg")
 	for i := 0; i < 40; i++ {
 		outcome := OutcomeOK
 		if i%7 == 0 {
 			outcome = OutcomeFault
 		}
-		tel.RecordActivation(0, 3, 1, outcome, 0, int64(10+i), int64(1000+i), nil)
+		tel.st.Write(0, &Record{Event: 3, Mode: 1, Outcome: outcome, Start: 990, End: int64(1000 + i)})
 	}
 	recs := tel.FlightRecords(0)
 	if len(recs) != 16 {
@@ -73,10 +67,10 @@ func TestFlightRingWrapAndSnapshot(t *testing.T) {
 
 func TestFlightDump(t *testing.T) {
 	var seen *FlightDump
-	tel := New(2, Config{OnDump: func(d *FlightDump) { seen = d }})
+	tel := New(NewStream(2, 0), Config{OnDump: func(d *FlightDump) { seen = d }})
 	tel.DefineEvent(0, "boom")
 	cause := "kaput"
-	tel.RecordActivation(1, 0, 0, OutcomeFault, 2, 500, 9000, &cause)
+	tel.st.Write(1, &Record{Outcome: OutcomeFault, Attempt: 2, Start: 8500, End: 9000, Cause: &cause})
 	d := tel.DumpFlight(1, "quarantine: boom/h")
 	if seen != d {
 		t.Fatal("OnDump hook did not observe the dump")
@@ -93,47 +87,13 @@ func TestFlightDump(t *testing.T) {
 	}
 }
 
-// TestFlightRingConcurrentReaders hammers one writer against snapshot
-// readers; under -race this verifies the all-atomic slot protocol.
-func TestFlightRingConcurrentReaders(t *testing.T) {
-	tel := New(1, Config{FlightSize: 32})
-	tel.DefineEvent(0, "e")
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for _, r := range tel.FlightRecords(0) {
-					// A torn read would show a duration inconsistent with
-					// the record's sequence number.
-					if r.Duration != int64(r.Seq) {
-						panic("torn flight record")
-					}
-				}
-			}
-		}()
-	}
-	for i := 0; i < 200000; i++ {
-		tel.RecordActivation(0, 0, 0, OutcomeOK, 0, int64(i), int64(i), nil)
-	}
-	close(stop)
-	wg.Wait()
-}
-
 func TestGraphFeedSampling(t *testing.T) {
-	tel := New(1, Config{SampleEvery: 1})
+	tel := New(NewStream(1, 0), Config{SampleEvery: 1})
 	tel.DefineEvent(0, "a")
 	tel.DefineEvent(1, "b")
 	for i := 0; i < 10; i++ {
-		tel.RecordEdge(0, 0, true)
-		tel.RecordEdge(0, 1, false)
+		tel.RecordDispatch(0, 0, true, tel.st.Draw(0))
+		tel.RecordDispatch(0, 1, false, tel.st.Draw(0))
 	}
 	g := tel.Graph()
 	if len(g.Edges) != 2 {
@@ -154,9 +114,9 @@ func TestGraphFeedSampling(t *testing.T) {
 
 	// The 1-in-N draw is hashed, not strided: over a strictly periodic
 	// a,b,a,b stream both edges must still be sampled, at roughly 1/N.
-	sampled := New(1, Config{SampleEvery: 4})
+	sampled := New(NewStream(1, 0), Config{SampleEvery: 4})
 	for i := 0; i < 401; i++ {
-		sampled.RecordEdge(0, int32(i%2), true)
+		sampled.RecordDispatch(0, int32(i%2), true, sampled.st.Draw(0))
 	}
 	edges := sampled.Graph().Edges
 	if len(edges) != 2 {
@@ -171,51 +131,24 @@ func TestGraphFeedSampling(t *testing.T) {
 func TestSampleTimed(t *testing.T) {
 	// TimeSampleEvery 1 (and out-of-range domains) are the edge cases;
 	// the default draw must land near 1-in-N without striding.
-	every := New(1, Config{TimeSampleEvery: 1})
+	every := New(NewStream(1, 0), Config{TimeSampleEvery: 1})
 	for i := 0; i < 100; i++ {
-		if !every.SampleTimed(0) {
+		if !every.RecordDispatch(0, 0, true, every.st.Draw(0)) {
 			t.Fatal("TimeSampleEvery 1 must sample every activation")
 		}
 	}
-	if every.SampleTimed(9) {
+	if every.RecordDispatch(9, 0, true, 0) {
 		t.Fatal("out-of-range domain sampled")
 	}
 
-	tel := New(1, Config{TimeSampleEvery: 8})
+	tel := New(NewStream(1, 0), Config{TimeSampleEvery: 8})
 	hits := 0
 	for i := 0; i < 8000; i++ {
-		if tel.SampleTimed(0) {
+		if tel.RecordDispatch(0, int32(i%2), true, tel.st.Draw(0)) {
 			hits++
 		}
 	}
 	if hits < 600 || hits > 1400 {
 		t.Fatalf("1-in-8 draw sampled %d of 8000, want ~1000", hits)
-	}
-}
-
-func TestWriteFlightChrome(t *testing.T) {
-	cause := "boom"
-	recs := []FlightRecord{
-		{Seq: 1, Event: 0, Name: "a", Mode: 0, Domain: 0, Outcome: OutcomeOK, Duration: 1500, End: 10000},
-		{Seq: 2, Event: 1, Name: "b", Mode: 1, Domain: 1, Outcome: OutcomeFault, Duration: 700, End: 12000, Cause: cause},
-	}
-	var buf bytes.Buffer
-	if err := WriteFlightChrome(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid trace-event JSON: %v\n%s", err, buf.String())
-	}
-	if len(doc.TraceEvents) != 2 {
-		t.Fatalf("exported %d events, want 2", len(doc.TraceEvents))
-	}
-	if doc.TraceEvents[0]["ph"] != "X" || doc.TraceEvents[0]["name"] != "a" {
-		t.Fatalf("unexpected first event: %+v", doc.TraceEvents[0])
-	}
-	if !strings.Contains(buf.String(), `"cause":"boom"`) {
-		t.Fatal("fault cause missing from export")
 	}
 }
