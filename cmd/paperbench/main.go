@@ -32,7 +32,7 @@ func main() {
 		codegenJSON  = flag.String("codegen-json", "", "write the codegen tier report to this file (implies -codegen)")
 		spans        = flag.Bool("spans", false, "include the span tracing overhead gate")
 		spansJSON    = flag.String("spans-json", "", "write the span overhead report to this file (implies -spans)")
-		xdomain      = flag.Bool("xdomain", false, "include the cross-domain handoff and K-tuning gate")
+		xdomain      = flag.Bool("xdomain", false, "include the cross-domain handoff and default-drain-vs-static-K gate")
 		xdomainJSON  = flag.String("xdomain-json", "", "write the cross-domain report to this file (implies -xdomain)")
 		compare      = flag.Bool("compare", false, "compare two bench report JSON files (old.json new.json) and exit")
 	)

@@ -213,11 +213,12 @@ func WithAdaptiveOptimizer(p AdaptivePolicy) SystemOption {
 // different domains execute in parallel under System.Run.
 func WithDomains(n int) SystemOption { return event.WithDomains(n) }
 
-// WithBatchDrain makes the domain run loops of System.Run pop up to k
-// runnable activations per queue-lock acquisition; each popped
-// activation then runs exactly as it would alone. Step and Drain stay
-// strictly single-step, and System.DrainBatched takes its batch size
-// from its argument. k < 2 leaves draining unbatched.
+// WithBatchDrain sets the cap k (default 64) on how many runnable
+// activations the domain run loops of System.Run pop per queue-lock
+// acquisition; each popped activation then runs exactly as it would
+// alone, and a pop that finds no backlog takes just one. Step and Drain
+// stay strictly single-step, and System.DrainBatched takes its batch
+// size from its argument. k < 2 leaves draining unbatched.
 func WithBatchDrain(k int) SystemOption { return event.WithBatchDrain(k) }
 
 // App is one event-based application: a runtime plus its HIR module and

@@ -92,30 +92,6 @@ type Policy struct {
 	// shift (default 0.5).
 	PhaseShiftOverlap float64
 
-	// Batch-drain K-tuning: each tick the controller smooths every
-	// domain's mean queue delay from the telemetry histogram deltas and
-	// retunes that domain's drain batch size — doubling K while the
-	// smoothed delay sits above BatchDelayHighNs (backlog: amortize the
-	// queue lock), halving it once the delay collapses below
-	// BatchDelayLowNs. The band between the thresholds is the
-	// hysteresis region, and a retuned domain is frozen for
-	// BatchCooldownTicks, mirroring the promote/demote machinery.
-	// Domains pinned by an explicit WithBatchDrain are never touched.
-
-	// DisableBatchTuning turns the drain-batch control law off.
-	DisableBatchTuning bool
-	// BatchDelayHighNs is the smoothed mean queue delay above which a
-	// domain's K doubles (default 20000 = 20µs).
-	BatchDelayHighNs float64
-	// BatchDelayLowNs is the smoothed mean queue delay below which a
-	// domain's K halves (default 2000 = 2µs; K <= 1 restores the
-	// unbatched loop).
-	BatchDelayLowNs float64
-	// BatchMaxK caps the tuned batch size (default 256).
-	BatchMaxK int
-	// BatchCooldownTicks freezes a domain's K after a retune (default:
-	// CooldownTicks).
-	BatchCooldownTicks int
 	// Opts configures planning and super-handler construction. The zero
 	// value selects the adaptive defaults: subsumption with graph-chain
 	// evidence, HIR fusion, partitioned (per-event) guards, chains capped
@@ -159,21 +135,6 @@ func (p Policy) withDefaults() Policy {
 	if p.PhaseShiftOverlap <= 0 {
 		p.PhaseShiftOverlap = 0.5
 	}
-	if p.BatchDelayHighNs <= 0 {
-		p.BatchDelayHighNs = 20000
-	}
-	if p.BatchDelayLowNs <= 0 {
-		p.BatchDelayLowNs = 2000
-	}
-	if p.BatchDelayLowNs > p.BatchDelayHighNs {
-		p.BatchDelayLowNs = p.BatchDelayHighNs
-	}
-	if p.BatchMaxK <= 0 {
-		p.BatchMaxK = 256
-	}
-	if p.BatchCooldownTicks <= 0 {
-		p.BatchCooldownTicks = p.CooldownTicks
-	}
 	if p.Opts == (core.Options{}) {
 		p.Opts = core.Options{
 			Subsume:     true,
@@ -215,15 +176,6 @@ type counters struct {
 	promotions, demotions, replans, deopts int64
 	phaseShifts, cooldownSkips, gainSkips  int64
 	limitSkips, emptyTicks                 int64
-	batchRaises, batchShrinks              int64
-}
-
-// domainBatchState is the K-tuner's smoothed view of one domain's queue
-// pressure (guarded by mu).
-type domainBatchState struct {
-	lastCount, lastSum int64   // cumulative queue-delay count/sum at last tick
-	ewmaDelay          float64 // EWMA of the per-tick mean queue delay (ns)
-	cool               uint64  // frozen until this tick after a retune
 }
 
 // Controller is the background adaptive optimizer of one System. Create
@@ -239,7 +191,6 @@ type Controller struct {
 	edges     map[edgeKey]*edgeState
 	installed map[event.ID]*plant
 	cooldown  map[event.ID]uint64 // event is frozen until this tick
-	batch     []domainBatchState  // per-domain drain-batch tuning state
 	tick      uint64
 	ctr       counters
 	running   bool
@@ -388,11 +339,6 @@ func (c *Controller) Tick() {
 	c.tick++
 	c.reapLocked()
 
-	// Retune the drain batch sizes before the empty-tick early-out: a
-	// backlog drain of externally raised events moves no sampled graph
-	// edges, yet it is exactly the condition K-tuning exists for.
-	c.tuneBatchLocked()
-
 	active := c.refreshEdgesLocked()
 	if !active && len(c.installed) == 0 {
 		c.ctr.emptyTicks++
@@ -539,81 +485,6 @@ func (c *Controller) reapLocked() {
 			// Removed or replaced by someone else (manual Uninstall, a
 			// Delete of the event): forget it without penalty.
 			delete(c.installed, ev)
-		}
-	}
-}
-
-// tuneBatchLocked is the drain-batch control law: one decision per
-// domain per tick from the queue-delay histogram deltas. The smoothed
-// mean delay of the tick's pops (EWMA, same Alpha as the edge rates)
-// is compared against the Policy's high/low thresholds — above the
-// high mark the domain's batch size doubles so the drain loop
-// amortizes its queue-lock acquisitions over the backlog; below the
-// low mark it halves, falling back to the unbatched loop at K <= 1.
-// The band in between is hysteresis, a retuned domain cools down for
-// BatchCooldownTicks, and domains pinned by WithBatchDrain are left
-// alone (the System refuses the retune).
-func (c *Controller) tuneBatchLocked() {
-	if c.pol.DisableBatchTuning {
-		return
-	}
-	nd := c.sys.NumDomains()
-	if c.batch == nil {
-		c.batch = make([]domainBatchState, nd)
-	}
-	counts := make([]int64, nd)
-	sums := make([]int64, nd)
-	for _, r := range c.tel.Events() {
-		if r.Domain >= 0 && r.Domain < nd {
-			counts[r.Domain] += r.QueueDelay.Count
-			sums[r.Domain] += r.QueueDelay.Sum
-		}
-	}
-	alpha := c.pol.Alpha
-	for i := 0; i < nd; i++ {
-		st := &c.batch[i]
-		dc := counts[i] - st.lastCount
-		ds := sums[i] - st.lastSum
-		st.lastCount, st.lastSum = counts[i], sums[i]
-		if dc < 0 || ds < 0 {
-			continue // counter reset (fresh telemetry instance)
-		}
-		if dc == 0 {
-			// No pops this tick: decay toward zero so an idle domain
-			// eventually sheds its batch size.
-			st.ewmaDelay *= 1 - alpha
-		} else {
-			st.ewmaDelay = alpha*(float64(ds)/float64(dc)) + (1-alpha)*st.ewmaDelay
-		}
-		if c.tick < st.cool {
-			continue
-		}
-		k := c.sys.BatchK(i)
-		newK := k
-		switch {
-		case st.ewmaDelay > c.pol.BatchDelayHighNs:
-			if k < 2 {
-				newK = 2
-			} else {
-				newK = k * 2
-			}
-			if newK > c.pol.BatchMaxK {
-				newK = c.pol.BatchMaxK
-			}
-		case st.ewmaDelay < c.pol.BatchDelayLowNs:
-			newK = k / 2
-			if newK <= 1 {
-				newK = 0
-			}
-		}
-		if newK == k || !c.sys.TuneBatchDrain(i, newK) {
-			continue
-		}
-		st.cool = c.tick + uint64(c.pol.BatchCooldownTicks)
-		if newK > k {
-			c.ctr.batchRaises++
-		} else {
-			c.ctr.batchShrinks++
 		}
 	}
 }
@@ -838,14 +709,6 @@ func (c *Controller) publishLocked(plan *core.Plan) {
 		GainSkips:        c.ctr.gainSkips,
 		LimitSkips:       c.ctr.limitSkips,
 		EmptyTicks:       c.ctr.emptyTicks,
-		BatchRaises:      c.ctr.batchRaises,
-		BatchShrinks:     c.ctr.batchShrinks,
-	}
-	if !c.pol.DisableBatchTuning {
-		s.BatchK = make([]int, c.sys.NumDomains())
-		for i := range s.BatchK {
-			s.BatchK[i] = c.sys.BatchK(i)
-		}
 	}
 	if plan != nil {
 		for _, e := range plan.Entries {

@@ -5,13 +5,9 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"eventopt/internal/adaptive"
 	"eventopt/internal/event"
-	"eventopt/internal/telemetry"
 )
 
 // XDomainGateSpeedup is the CI budget for the merged cross-domain
@@ -19,21 +15,22 @@ import (
 // by at least this factor.
 const XDomainGateSpeedup = 1.15
 
-// XDomainAdaptivePct is the K-tuning convergence budget: after the
-// backlog phase shift the controller-tuned drain must come within this
-// percentage of the best statically-pinned batch size.
+// XDomainAdaptivePct is the drain-rule budget: the default Run loop
+// (no WithBatchDrain, each pop sized from the backlog up to the default
+// cap) must drain a backlog within this percentage of the best static
+// batch size.
 const XDomainAdaptivePct = 15.0
 
-// KTuneRow is one statically-pinned point of the batch-size sweep.
-type KTuneRow struct {
+// KRow is one static point of the batch-size sweep.
+type KRow struct {
 	K   int     `json:"k"`
 	EPS float64 `json:"events_per_sec"`
 }
 
 // XDomainReport is the serializable result of RunXDomain (uploaded by
 // CI as BENCH_xdomain.json): the merged-vs-enqueue pipeline comparison,
-// the adaptive-vs-static batch-size sweep, and the sync-raise
-// allocation check with coalescing enabled.
+// the default-vs-static batch-size sweep, and the sync-raise allocation
+// check with coalescing enabled.
 type XDomainReport struct {
 	CPUs        int     `json:"cpus"`
 	Hops        int     `json:"pipeline_hops"`
@@ -43,16 +40,14 @@ type XDomainReport struct {
 	PipelineX   float64 `json:"pipeline_speedup"` // unmerged / merged
 	GateSpeedup float64 `json:"gate_speedup"`
 
-	StaticRows    []KTuneRow `json:"static_rows"`
-	BestStaticK   int        `json:"best_static_k"`
-	BestStaticEPS float64    `json:"best_static_eps"`
-	AdaptiveEPS   float64    `json:"adaptive_eps"`
-	// AdaptiveVsBestPct is (adaptive/best - 1)*100; the gate requires
-	// it to stay above -XDomainAdaptivePct.
-	AdaptiveVsBestPct float64 `json:"adaptive_vs_best_pct"`
-	BatchRaises       int64   `json:"batch_raises"`
-	BatchShrinks      int64   `json:"batch_shrinks"`
-	GatePct           float64 `json:"gate_pct"`
+	StaticRows    []KRow  `json:"static_rows"`
+	BestStaticK   int     `json:"best_static_k"`
+	BestStaticEPS float64 `json:"best_static_eps"`
+	DefaultEPS    float64 `json:"default_eps"`
+	// DefaultVsBestPct is (default/best - 1)*100; the gate requires it
+	// to stay above -XDomainAdaptivePct.
+	DefaultVsBestPct float64 `json:"default_vs_best_pct"`
+	GatePct          float64 `json:"gate_pct"`
 
 	RaiseAllocs float64 `json:"sync_raise_allocs_per_op"`
 	Pass        bool    `json:"pass"`
@@ -134,111 +129,13 @@ func xdomainPipelineOp(merged bool) (func(), *event.System) {
 	}, s
 }
 
-// ktuneEPS measures drain throughput of a prefilled backlog across
-// domains, each domain's event pinned locally: the batchEventsPerSec
-// workload with telemetry enabled (so the adaptive variant's
-// observation cost is also paid by every static point). k is the
-// statically pinned batch size (<=1 unbatched); with tune, the batch
-// size starts untuned and an adaptive controller ticks during the drain
-// — the backlog phase shift it must react to. A light pre-phase lets
-// the tuner settle at K=0 first, so the measured drain includes the
-// raise transient.
-func ktuneEPS(domains, k, total int, tune bool) (float64, int64, int64) {
-	opts := []event.Option{
-		event.WithDomains(domains),
-		event.WithTelemetry(telemetry.Config{SampleEvery: 64, TimeSampleEvery: 64}),
-	}
-	if !tune && k > 1 {
-		opts = append(opts, event.WithBatchDrain(k))
-	}
-	s := event.New(opts...)
-	var consumed atomic.Int64
-	evs := make([]event.ID, domains)
-	for d := range evs {
-		evs[d] = s.Define(fmt.Sprintf("work%d", d))
-		s.Bind(evs[d], "spin", func(*event.Ctx) {
-			parallelSink.Store(spinWork(batchWork))
-			consumed.Add(1)
-		})
-		if err := s.PinEvent(evs[d], d); err != nil {
-			panic(err)
-		}
-	}
-	var ctl *adaptive.Controller
-	if tune {
-		var err error
-		ctl, err = adaptive.New(s, nil, adaptive.Policy{
-			CooldownTicks: 1, BatchCooldownTicks: 1,
-		})
-		if err != nil {
-			panic(err)
-		}
-		defer ctl.Close()
-		// Light phase: immediate drains, negligible queue delay. The
-		// tuner must hold every domain unbatched here.
-		for t := 0; t < 4; t++ {
-			for i := 0; i < 64*domains; i++ {
-				s.RaiseAsync(evs[i%domains])
-			}
-			s.Drain()
-			ctl.Tick()
-		}
-		consumed.Store(0)
-	}
-
-	per := total / domains
-	if per < 1 {
-		per = 1
-	}
-	goal := int64(per * domains)
-	for i := 0; i < per; i++ {
-		for d := range evs {
-			s.RaiseAsync(evs[d])
-		}
-	}
-
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	t0 := time.Now()
-	go func() { s.Run(stop); close(done) }()
-	for consumed.Load() < goal {
-		if tune {
-			ctl.Tick()
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	elapsed := time.Since(t0)
-	close(stop)
-	<-done
-	var raises, shrinks int64
-	if tune {
-		snap := ctl.Snapshot()
-		raises, shrinks = snap.BatchRaises, snap.BatchShrinks
-	}
-	return float64(goal) / elapsed.Seconds(), raises, shrinks
-}
-
-// bestKtuneEPS returns the best of three timed runs (after a warm-up),
-// with the winning run's tuner decision counters.
-func bestKtuneEPS(domains, k, total int, tune bool) (float64, int64, int64) {
-	ktuneEPS(domains, k, total/4+1, tune) // warm-up
-	best, raises, shrinks := 0.0, int64(0), int64(0)
-	for i := 0; i < 3; i++ {
-		runtime.GC()
-		if r, ra, sh := ktuneEPS(domains, k, total, tune); r > best {
-			best, raises, shrinks = r, ra, sh
-		}
-	}
-	return best, raises, shrinks
-}
-
 // RunXDomain measures the cross-domain continuation-handoff layer and
-// the adaptive batch-size tuner. Three gates:
+// the Run loop's drain rule. Three gates:
 //
 //  1. the merged pipeline (every link a cross-domain handoff) must beat
 //     enqueue-per-link by XDomainGateSpeedup;
-//  2. after a backlog phase shift, the controller-tuned drain must come
-//     within XDomainAdaptivePct of the best statically-pinned K;
+//  2. on a prefilled backlog, the default Run loop must come within
+//     XDomainAdaptivePct of the best static K;
 //  3. the driving sync raise must stay allocation-free with coalescing
 //     and handoff enabled.
 //
@@ -290,29 +187,27 @@ func RunXDomain(w io.Writer, events int) (*XDomainReport, error) {
 	rep.RaiseAllocs = testing.AllocsPerRun(200, mrg)
 	fmt.Fprintf(w, "sync raise with coalescing: %.2f allocs/op\n", rep.RaiseAllocs)
 
-	const ktuneDomains = 4
-	header(w, fmt.Sprintf("Adaptive drain-batch tuning (%d domains, backlog phase shift)", ktuneDomains))
+	const kDomains = 4
+	header(w, fmt.Sprintf("Default drain vs static batch K (%d domains, prefilled backlog)", kDomains))
 	fmt.Fprintf(w, "%-10s %16s\n", "Batch K", "ev/s")
 	statics := []int{1, 16, 64, 128}
 	for try := 0; try < 3; try++ {
-		rows := make([]KTuneRow, 0, len(statics))
+		rows := make([]KRow, 0, len(statics))
 		bestK, bestEPS := 0, 0.0
 		for _, k := range statics {
-			eps, _, _ := bestKtuneEPS(ktuneDomains, k, events, false)
-			r := KTuneRow{K: k, EPS: eps}
+			r := KRow{K: k, EPS: bestBatchEPS(kDomains, k, events)}
 			rows = append(rows, r)
 			if r.EPS > bestEPS {
 				bestK, bestEPS = k, r.EPS
 			}
 		}
-		adap, raises, shrinks := bestKtuneEPS(ktuneDomains, 0, events, true)
-		pct := 100 * (adap - bestEPS) / bestEPS
-		if rep.AdaptiveEPS == 0 || pct > rep.AdaptiveVsBestPct {
+		def := bestBatchEPS(kDomains, 0, events)
+		pct := 100 * (def - bestEPS) / bestEPS
+		if rep.DefaultEPS == 0 || pct > rep.DefaultVsBestPct {
 			rep.StaticRows, rep.BestStaticK, rep.BestStaticEPS = rows, bestK, bestEPS
-			rep.AdaptiveEPS, rep.AdaptiveVsBestPct = adap, pct
-			rep.BatchRaises, rep.BatchShrinks = raises, shrinks
+			rep.DefaultEPS, rep.DefaultVsBestPct = def, pct
 		}
-		if rep.AdaptiveVsBestPct >= -XDomainAdaptivePct {
+		if rep.DefaultVsBestPct >= -XDomainAdaptivePct {
 			break
 		}
 	}
@@ -320,17 +215,15 @@ func RunXDomain(w io.Writer, events int) (*XDomainReport, error) {
 		fmt.Fprintf(w, "%-10d %16.0f\n", r.K, r.EPS)
 	}
 	fmt.Fprintf(w, "%-10s %16.0f  (%+.1f%% vs best static K=%d, gate -%.0f%%)\n",
-		"adaptive", rep.AdaptiveEPS, rep.AdaptiveVsBestPct, rep.BestStaticK, XDomainAdaptivePct)
-	fmt.Fprintf(w, "tuner decisions during winning drain: %d raises, %d shrinks\n",
-		rep.BatchRaises, rep.BatchShrinks)
+		"default", rep.DefaultEPS, rep.DefaultVsBestPct, rep.BestStaticK, XDomainAdaptivePct)
 
 	rep.Pass = rep.PipelineX >= XDomainGateSpeedup &&
-		rep.AdaptiveVsBestPct >= -XDomainAdaptivePct &&
+		rep.DefaultVsBestPct >= -XDomainAdaptivePct &&
 		rep.RaiseAllocs == 0
 	if !rep.Pass {
 		return rep, fmt.Errorf(
-			"xdomain gate failed: pipeline %.2fx (want >= %.2fx), adaptive %+.1f%% vs best static (want >= -%.0f%%), raise allocs %.2f (want 0)",
-			rep.PipelineX, XDomainGateSpeedup, rep.AdaptiveVsBestPct, XDomainAdaptivePct, rep.RaiseAllocs)
+			"xdomain gate failed: pipeline %.2fx (want >= %.2fx), default %+.1f%% vs best static (want >= -%.0f%%), raise allocs %.2f (want 0)",
+			rep.PipelineX, XDomainGateSpeedup, rep.DefaultVsBestPct, XDomainAdaptivePct, rep.RaiseAllocs)
 	}
 	return rep, nil
 }

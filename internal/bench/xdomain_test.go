@@ -31,8 +31,8 @@ func TestRunXDomainReportShape(t *testing.T) {
 			t.Errorf("static K=%d throughput not positive: %+v", r.K, r)
 		}
 	}
-	if rep.AdaptiveEPS <= 0 || rep.BestStaticEPS <= 0 {
-		t.Errorf("adaptive sweep not measured: %+v", rep)
+	if rep.DefaultEPS <= 0 || rep.BestStaticEPS <= 0 {
+		t.Errorf("default-vs-static sweep not measured: %+v", rep)
 	}
 	// The allocation gate holds on any machine: it measures the runtime,
 	// not the scheduler's luck. (Not under -race, whose shadow
@@ -41,7 +41,7 @@ func TestRunXDomainReportShape(t *testing.T) {
 		t.Errorf("sync raise with coalescing allocates: %.2f allocs/op", rep.RaiseAllocs)
 	}
 	if !strings.Contains(out.String(), "Cross-domain continuation handoff") ||
-		!strings.Contains(out.String(), "Adaptive drain-batch tuning") {
+		!strings.Contains(out.String(), "Default drain vs static batch K") {
 		t.Error("table headers missing from output")
 	}
 
@@ -79,10 +79,10 @@ func TestCompareReports(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := filepath.Join(dir, "old.json")
 	newPath := filepath.Join(dir, "new.json")
-	oldRep := &XDomainReport{PipelineX: 1.20, AdaptiveEPS: 1000, Pass: true,
-		StaticRows: []KTuneRow{{K: 16, EPS: 900}}}
-	newRep := &XDomainReport{PipelineX: 1.50, AdaptiveEPS: 1000, Pass: false,
-		StaticRows: []KTuneRow{{K: 16, EPS: 990}}}
+	oldRep := &XDomainReport{PipelineX: 1.20, DefaultEPS: 1000, Pass: true,
+		StaticRows: []KRow{{K: 16, EPS: 900}}}
+	newRep := &XDomainReport{PipelineX: 1.50, DefaultEPS: 1000, Pass: false,
+		StaticRows: []KRow{{K: 16, EPS: 990}}}
 	for path, rep := range map[string]*XDomainReport{oldPath: oldRep, newPath: newRep} {
 		f, err := os.Create(path)
 		if err != nil {
@@ -101,7 +101,7 @@ func TestCompareReports(t *testing.T) {
 	for _, want := range []string{
 		"pipeline_speedup", "+25.0%", // 1.20 -> 1.50
 		"static_rows.0.events_per_sec", "+10.0%", // 900 -> 990
-		"adaptive_eps", "~", // unchanged
+		"default_eps", "~", // unchanged
 		"pass", // boolean transition 1 -> 0
 	} {
 		if !strings.Contains(got, want) {

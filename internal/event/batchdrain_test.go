@@ -2,20 +2,17 @@ package event
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 // TestWithBatchDrainClampsNonPositive: a non-positive batch size is a
-// request for the unbatched drain, not an error or a degenerate loop —
-// and it still counts as a manual pin the tuner must respect.
+// request for the unbatched drain, not an error or a degenerate loop.
 func TestWithBatchDrainClampsNonPositive(t *testing.T) {
 	for _, k := range []int{0, -1, -64} {
 		s := New(WithBatchDrain(k))
 		if got := s.BatchK(0); got != 0 {
 			t.Fatalf("WithBatchDrain(%d): BatchK = %d, want 0", k, got)
-		}
-		if !s.BatchPinned(0) {
-			t.Fatalf("WithBatchDrain(%d) did not pin the domain", k)
 		}
 		ev := s.Define("hot")
 		ran := 0
@@ -156,5 +153,69 @@ func TestBatchPopCoalesceGuardRace(t *testing.T) {
 	}
 	if st.CoalesceFallbacks == 0 {
 		t.Error("no interior raise was ever demoted by the guard")
+	}
+}
+
+// countingClock is a fixed clock that counts its reads.
+type countingClock struct{ reads atomic.Int64 }
+
+func (c *countingClock) Now() Duration { c.reads.Add(1); return 0 }
+
+// TestRunPopNarrowsWithoutBacklog: under the default cap, a Run-loop pop
+// that finds at most one pending item is exactly the unbatched pop — a
+// lone continuation is taken without reading the clock, a lone queued
+// activation reports SchedPop with no batch remainder — while a backlog
+// of two still pops as one batch.
+func TestRunPopNarrowsWithoutBacklog(t *testing.T) {
+	clk := &countingClock{}
+	hook := &schedPointCounter{}
+	s := New(WithClock(clk), WithSchedHook(hook))
+	if got := s.BatchK(0); got != defaultBatchK {
+		t.Fatalf("default BatchK = %d, want %d", got, defaultBatchK)
+	}
+	d := s.domains[0]
+	buf := make([]*activation, s.BatchK(0))
+	head, _, tailRuns := pipelineSH(t, s)
+	if err := s.Raise(head, A("n", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.StatsAggregate(); st.Coalesced != 1 {
+		t.Fatalf("Coalesced = %d, want 1 pending continuation", st.Coalesced)
+	}
+
+	clk.reads.Store(0)
+	if n := d.popRunnableBatch(buf); n != 1 {
+		t.Fatalf("continuation pop moved %d, want 1", n)
+	}
+	if r := clk.reads.Load(); r != 0 {
+		t.Fatalf("lone continuation pop read the clock %d times, want 0", r)
+	}
+	d.runTop(buf[0])
+	if *tailRuns != 1 {
+		t.Fatalf("tail ran %d times, want 1", *tailRuns)
+	}
+
+	ev := s.Define("one")
+	ran := 0
+	s.Bind(ev, "h", func(*Ctx) { ran++ })
+	s.RaiseAsync(ev)
+	if n := d.popRunnableBatch(buf); n != 1 {
+		t.Fatalf("single-item pop moved %d, want 1", n)
+	}
+	if p, bp := hook.count(SchedPop), hook.count(SchedBatchPop); p != 1 || bp != 0 {
+		t.Fatalf("single-item pop reported %d SchedPop and %d SchedBatchPop, want 1 and 0", p, bp)
+	}
+	if r := d.batchRem.Load(); r != 0 {
+		t.Fatalf("single-item pop left batchRem = %d", r)
+	}
+	d.runTop(buf[0])
+
+	s.RaiseAsync(ev)
+	s.RaiseAsync(ev)
+	if n := d.pump(s.BatchK(0)); n != 2 || ran != 3 {
+		t.Fatalf("backlog pump ran %d (handler total %d), want 2 (3)", n, ran)
+	}
+	if got := hook.count(SchedBatchPop); got != 1 {
+		t.Fatalf("backlog of two took %d batch pops, want 1", got)
 	}
 }

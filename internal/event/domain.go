@@ -46,13 +46,6 @@ type Domain struct {
 	cont     []*activation
 	contHead int
 
-	// batchK is the drain batch size for run/DrainBatched (<=1:
-	// unbatched). Atomic so the adaptive controller can retune it while
-	// the run loop executes (TuneBatchDrain); the loop re-reads it once
-	// per pump. batchPin marks an explicit WithBatchDrain value the
-	// controller must leave alone.
-	batchK   atomic.Int32
-	batchPin bool
 	batchBuf []*activation // reusable batch scratch of the owning drain loop
 
 	// batchRem counts batch-popped activations not yet executed by the
@@ -297,16 +290,14 @@ func (s *System) Run(stop <-chan struct{}) int {
 	return n
 }
 
-// run is one domain's blocking event loop. With a batch size configured
-// (WithBatchDrain, or the adaptive controller's TuneBatchDrain) it
-// pulls up to K activations per queue-lock acquisition instead of one.
-// The batch size is re-read every pump so a retune takes effect without
-// restarting the loop.
+// run is one domain's blocking event loop. Each pump pops up to the
+// system's batch cap K per queue-lock acquisition; popRunnableBatch
+// narrows a pump to one activation when no backlog is pending.
 func (d *Domain) run(stop <-chan struct{}) int {
 	n := 0
 	for {
 		for {
-			m := d.pump(int(d.batchK.Load()))
+			m := d.pump(d.sys.batchK)
 			if m == 0 {
 				break
 			}
@@ -343,43 +334,13 @@ func (d *Domain) run(stop <-chan struct{}) int {
 	}
 }
 
-// TuneBatchDrain sets the drain batch size of domain dom at run time;
-// the domain's Run loop picks the new size up at its next pump. It is
-// the adaptive controller's K-tuning seam. k <= 1 restores the
-// unbatched loop; a domain pinned by an explicit WithBatchDrain refuses
-// retuning. It reports whether the size was applied.
-func (s *System) TuneBatchDrain(dom, k int) bool {
-	if dom < 0 || dom >= len(s.domains) {
-		return false
-	}
-	d := s.domains[dom]
-	if d.batchPin {
-		return false
-	}
-	if k < 0 {
-		k = 0
-	}
-	d.batchK.Store(int32(k))
-	d.nudge()
-	return true
-}
-
-// BatchK reports the current drain batch size of domain dom (<=1 means
-// unbatched; 0 for an out-of-range index).
+// BatchK reports the drain batch cap of domain dom's Run loop (<=1
+// means unbatched; 0 for an out-of-range index).
 func (s *System) BatchK(dom int) int {
 	if dom < 0 || dom >= len(s.domains) {
 		return 0
 	}
-	return int(s.domains[dom].batchK.Load())
-}
-
-// BatchPinned reports whether domain dom's batch size was pinned by an
-// explicit WithBatchDrain and is therefore exempt from adaptive tuning.
-func (s *System) BatchPinned(dom int) bool {
-	if dom < 0 || dom >= len(s.domains) {
-		return false
-	}
-	return s.domains[dom].batchPin
+	return s.batchK
 }
 
 // QueueLen reports the number of queued (not yet run) asynchronous

@@ -369,11 +369,17 @@ func (d *Domain) dueTimerLocked() bool {
 // popRunnableBatch is the scheduler's one pop: it fills dst with up to
 // len(dst) runnable activations under a single qmu acquisition — pending
 // continuations first, then due timers in deadline order, then queued
-// activations FIFO — and reports how many it moved. The queued portion
-// reports one SchedPop for a one-item pop and one SchedBatchPop carrying
-// the popped count otherwise.
+// activations FIFO — and reports how many it moved. When at most one
+// continuation or queued activation is pending it narrows dst to one
+// slot, so a pop without a backlog is exactly the unbatched pop: it
+// reads no clock after taking a continuation and stores no batchRem.
+// The queued portion reports one SchedPop for a one-item pop and one
+// SchedBatchPop carrying the popped count otherwise.
 func (d *Domain) popRunnableBatch(dst []*activation) int {
 	d.qmu.Lock()
+	if len(dst) > 1 && len(d.cont)-d.contHead+d.q.len() <= 1 {
+		dst = dst[:1]
+	}
 	n := 0
 	// Continuations stand for what would have been the queue head at
 	// capture time (the capture guard required an empty queue), so

@@ -184,6 +184,7 @@ type System struct {
 	noPool bool // test hook: disable activation pooling (oracle runs)
 
 	domains []*Domain
+	batchK  int // Run-loop drain batch cap (WithBatchDrain; <=1: unbatched)
 
 	clock   Clock
 	sched   SchedHook // scheduling observer seam; nil in production
@@ -201,8 +202,6 @@ type System struct {
 	wantDomains  int            // WithDomains value, consumed by New
 	wantQcap     int            // queue bound remembered for domain creation
 	wantQpolicy  OverflowPolicy // overflow policy remembered for domain creation
-	wantBatchK   int            // WithBatchDrain value, consumed by New
-	wantBatchPin bool           // WithBatchDrain was explicit: exempt from K-tuning
 	wantTel      bool           // WithTelemetry requested, consumed by New
 	wantTelCfg   telemetry.Config
 	wantSpans    bool // WithSpanTracing requested, consumed by New
@@ -240,26 +239,22 @@ func WithDomains(n int) Option {
 	return func(s *System) { s.wantDomains = n }
 }
 
-// WithBatchDrain sets the drain batch size K: each domain's Run loop
-// pumps up to K runnable activations per queue-lock acquisition, and
-// each activation of a batch runs exactly as it would alone. K <= 1
-// keeps the one-activation-per-acquisition loop (K <= 0 is clamped to
-// unbatched). Step, Drain and DrainBatched take their batch size from
-// the call, not from this option: deterministic single-step sweeps stay
-// byte-identical to the unbatched runtime.
-//
-// An explicit WithBatchDrain is a manual pin: the adaptive controller's
-// per-domain K-tuning (internal/adaptive) leaves pinned domains alone.
-// Omit the option to let the controller size K from the queue-delay
-// histograms.
+// defaultBatchK is the Run loop's drain batch cap when WithBatchDrain is
+// not given.
+const defaultBatchK = 64
+
+// WithBatchDrain sets the drain batch cap K (default 64): each domain's
+// Run loop pops up to K runnable activations per queue-lock acquisition,
+// and each activation of a batch runs exactly as it would alone. A pop
+// that finds at most one continuation or queued activation pending takes
+// just one, exactly as K = 1 would, so a one-item-in-flight pipeline
+// pays nothing for the cap. K <= 1 keeps the one-activation-per-
+// acquisition loop (K <= 0 is clamped to unbatched). Step, Drain and
+// DrainBatched take their batch size from the call, not from this
+// option: deterministic single-step sweeps stay byte-identical to the
+// unbatched runtime.
 func WithBatchDrain(k int) Option {
-	return func(s *System) {
-		if k < 0 {
-			k = 0
-		}
-		s.wantBatchK = k
-		s.wantBatchPin = true
-	}
+	return func(s *System) { s.batchK = max(k, 0) }
 }
 
 // New creates an empty event system.
@@ -267,6 +262,7 @@ func New(opts ...Option) *System {
 	s := &System{
 		byName: make(map[string]ID),
 		clock:  NewRealClock(),
+		batchK: defaultBatchK,
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -278,8 +274,6 @@ func New(opts ...Option) *System {
 	s.domains = make([]*Domain, n)
 	for i := range s.domains {
 		s.domains[i] = newDomain(s, i)
-		s.domains[i].batchK.Store(int32(s.wantBatchK))
-		s.domains[i].batchPin = s.wantBatchPin
 	}
 	if s.wantQcap > 0 {
 		s.SetQueueBound(s.wantQcap, s.wantQpolicy)

@@ -82,15 +82,19 @@ func enumName(names []string, v uint8, what string) string {
 	return fmt.Sprintf("%s(%d)", what, v)
 }
 
-// parseEnum decodes a symbolic name from names (or a legacy integer).
+// parseEnum decodes a symbolic name from names (or a legacy integer
+// indexing names; one past the table would not re-encode).
 func parseEnum(b []byte, names []string, what string) (uint8, error) {
 	var s string
 	if err := json.Unmarshal(b, &s); err != nil {
 		var n uint8
-		if json.Unmarshal(b, &n) == nil {
-			return n, nil
+		if json.Unmarshal(b, &n) != nil {
+			return 0, err
 		}
-		return 0, err
+		if int(n) >= len(names) {
+			return 0, fmt.Errorf("span: %s %d out of range", what, n)
+		}
+		return n, nil
 	}
 	if i := slices.Index(names, s); i >= 0 {
 		return uint8(i), nil
@@ -161,16 +165,20 @@ func (f Flags) String() string {
 // MarshalJSON renders the flag set as a comma-joined name list.
 func (f Flags) MarshalJSON() ([]byte, error) { return json.Marshal(f.String()) }
 
-// UnmarshalJSON accepts the comma-joined name list (or a legacy integer).
+// UnmarshalJSON accepts the comma-joined name list (or a legacy integer
+// made of named bits only; an unnamed bit would not re-encode).
 func (f *Flags) UnmarshalJSON(b []byte) error {
 	var s string
 	if err := json.Unmarshal(b, &s); err != nil {
 		var n uint8
-		if json.Unmarshal(b, &n) == nil {
-			*f = Flags(n)
-			return nil
+		if json.Unmarshal(b, &n) != nil {
+			return err
 		}
-		return err
+		if n>>len(flagNames) != 0 {
+			return fmt.Errorf("span: flags %d has unnamed bits", n)
+		}
+		*f = Flags(n)
+		return nil
 	}
 	*f = 0
 	if s == "" {

@@ -44,11 +44,11 @@ type OptimizerSnapshot struct {
 	LimitSkips    int64 `json:"limit_skips"` // promotions rejected by the plan cap
 	EmptyTicks    int64 `json:"empty_ticks"` // ticks with no sampled graph activity
 
-	// Drain-batch K-tuning decisions (the queue-delay control law) and
-	// the current per-domain batch sizes it produced (<=1: unbatched).
+	// BatchRaises and BatchShrinks are always 0: the drain batch size is
+	// no longer tuned (each Run-loop pop sizes its batch from the
+	// backlog). They remain while a benchmark metric still reads them.
 	BatchRaises  int64 `json:"batch_raises"`
 	BatchShrinks int64 `json:"batch_shrinks"`
-	BatchK       []int `json:"batch_k,omitempty"`
 
 	// HotEvents names the entry events of the current tick's plan (the
 	// live hot set), hottest first.
