@@ -96,17 +96,21 @@ type Stats struct {
 	SamplesRun  int
 }
 
-// Sender is a CTP protocol instance bound to one event system.
+// Sender is a CTP protocol instance bound to one event system. It runs
+// on one domain: like Stats, its payload buffers are unsynchronized and
+// rely on the system serializing its handlers.
 type Sender struct {
 	Sys *event.System
 	Mod *hirrt.Module
 	Ev  Events
 	Cfg Config
 
-	Stats Stats
-	link  *link
-	rto   map[int64]event.Timer // in-flight retransmission timers by seq
-	segs  map[int64]inflightSeg // in-flight payloads for retransmission
+	Stats  Stats
+	link   *link
+	rto    map[int64]event.Timer // in-flight retransmission timers by seq
+	segs   map[int64]inflightSeg // in-flight payloads for retransmission
+	free   [][]byte              // released retransmit buffers, at most Window
+	parity []byte                // FEC parity accumulator behind CellParity
 
 	onDeliver func(seq int64, payload []byte)
 	onSegment func(seq int64, payload []byte, parity bool)
@@ -158,11 +162,15 @@ func (s *Sender) defineEvents() {
 	}
 }
 
-// OnDeliver installs the receiver-side delivery callback.
+// OnDeliver installs the receiver-side delivery callback. The payload is
+// borrowed: it is a copy the link reuses for the next segment, valid
+// until the callback returns, so a callback that keeps it must copy it.
+// Writing to it changes nothing the sender sends later.
 func (s *Sender) OnDeliver(fn func(seq int64, payload []byte)) { s.onDeliver = fn }
 
 // OnSegment installs a richer delivery callback that also reports
-// whether the segment is FEC parity; Receiver uses it.
+// whether the segment is FEC parity; Receiver uses it. Its payload is
+// borrowed like OnDeliver's.
 func (s *Sender) OnSegment(fn func(seq int64, payload []byte, parity bool)) { s.onSegment = fn }
 
 // AttachReceiver wires a reassembling Receiver to this sender's link and

@@ -41,7 +41,7 @@ func TestInvalidConfigRejected(t *testing.T) {
 func TestSingleFrameFlowsThrough(t *testing.T) {
 	s := newTestSender(t, nil)
 	var delivered [][]byte
-	s.OnDeliver(func(seq int64, p []byte) { delivered = append(delivered, p) })
+	s.OnDeliver(func(seq int64, p []byte) { delivered = append(delivered, bytes.Clone(p)) })
 	s.Start()
 	payload := bytes.Repeat([]byte{0xAA}, 600)
 	s.SendFrame(payload, true)
@@ -138,7 +138,7 @@ func TestFECParityEmission(t *testing.T) {
 func TestFECParityContent(t *testing.T) {
 	s := newTestSender(t, func(c *Config) { c.FECInterval = 2 })
 	var got [][]byte
-	s.OnDeliver(func(seq int64, p []byte) { got = append(got, p) })
+	s.OnDeliver(func(seq int64, p []byte) { got = append(got, bytes.Clone(p)) })
 	s.SendFrame([]byte{0xF0, 0x0F}, false)
 	s.SendFrame([]byte{0x0F, 0x0F}, false)
 	s.Sys.Drain()
@@ -278,12 +278,23 @@ func TestEventGraphHasFig5Shape(t *testing.T) {
 // optimizeSender profiles a workload and installs the resulting plan.
 func optimizeSender(t *testing.T, s *Sender, opts core.Options) {
 	t.Helper()
+	i := 0
+	planSender(t, s, opts, 60, func() {
+		s.SendFrame(make([]byte, 700), i%10 == 0)
+		i++
+		s.Sys.DrainFor(event.Duration(i) * 20e6)
+	})
+}
+
+// planSender traces frames calls of send and installs the plan the
+// profile yields.
+func planSender(t *testing.T, s *Sender, opts core.Options, frames int, send func()) {
+	t.Helper()
 	rec := trace.NewRecorder()
 	rec.EnableHandlerProfiling()
 	s.Sys.SetTracer(rec)
-	for i := 0; i < 60; i++ {
-		s.SendFrame(make([]byte, 700), i%10 == 0)
-		s.Sys.DrainFor(event.Duration(i+1) * 20e6)
+	for i := 0; i < frames; i++ {
+		send()
 	}
 	s.Sys.SetTracer(nil)
 	prof, err := profile.Analyze(rec.Entries())

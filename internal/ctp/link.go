@@ -10,6 +10,7 @@ import "eventopt/internal/event"
 type link struct {
 	sender *Sender
 	n      int
+	buf    []byte // the delivery copy lent to the callbacks
 }
 
 // transmit carries one segment.
@@ -22,11 +23,26 @@ func (l *link) transmit(seq int64, payload []byte, parity bool) {
 		return
 	}
 	s.Stats.Delivered++
+	l.deliver(seq, payload, parity)
+	s.Sys.RaiseAfter(s.Cfg.RTT, s.Ev.SegmentAcked, event.Int64("seq", seq))
+}
+
+// deliver hands each delivery callback its own copy of payload in the
+// link's one delivery buffer. The buffer leaves the link while the
+// callbacks run, so a callback that sends again copies into a buffer of
+// its own; the copy has no spare capacity, so a callback's append
+// reallocates instead of writing into the buffer.
+func (l *link) deliver(seq int64, payload []byte, parity bool) {
+	s := l.sender
+	buf, n := l.buf, len(payload)
+	l.buf = nil
 	if s.onDeliver != nil {
-		s.onDeliver(seq, append([]byte(nil), payload...))
+		buf = append(buf[:0], payload...)
+		s.onDeliver(seq, buf[:n:n])
 	}
 	if s.onSegment != nil {
-		s.onSegment(seq, append([]byte(nil), payload...), parity)
+		buf = append(buf[:0], payload...)
+		s.onSegment(seq, buf[:n:n], parity)
 	}
-	s.Sys.RaiseAfter(s.Cfg.RTT, s.Ev.SegmentAcked, event.Int64("seq", seq))
+	l.buf = buf
 }

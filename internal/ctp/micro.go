@@ -1,6 +1,8 @@
 package ctp
 
 import (
+	"crypto/subtle"
+
 	"eventopt/internal/event"
 	"eventopt/internal/hir"
 )
@@ -29,23 +31,20 @@ const (
 // registerIntrinsics exposes the host operations the HIR handlers need.
 func (s *Sender) registerIntrinsics() {
 	m := s.Mod
-	m.RegisterIntrinsic("xor_bytes", true, func(a []hir.Value) hir.Value {
-		x, y := a[0].Bytes(), a[1].Bytes()
-		if len(y) > len(x) {
-			x, y = y, x
-		}
-		out := append([]byte(nil), x...)
-		for i := range y {
-			out[i] ^= y[i]
-		}
-		return hir.BytesVal(out)
+	// xor_bytes folds a segment into the sender's parity accumulator in
+	// place. It writes sender state, so it is impure: constant folding
+	// must not run it at plan time, and CSE/DCE must neither merge two
+	// folds nor drop one.
+	m.RegisterIntrinsic("xor_bytes", false, func(a []hir.Value) hir.Value {
+		return hir.BytesVal(s.foldParity(a[0].Bytes(), a[1].Bytes()))
 	})
 	m.RegisterIntrinsic("link_send", false, func(a []hir.Value) hir.Value {
 		s.link.transmit(a[0].Int(), a[1].Bytes(), a[2].Bool())
 		return hir.None
 	})
 	m.RegisterIntrinsic("sched_rto", false, func(a []hir.Value) hir.Value {
-		s.armRTO(a[0].Int(), a[1].Bytes(), a[2].Bool(), 0)
+		s.hold(a[0].Int(), a[1].Bytes(), a[2].Bool())
+		s.armRTO(a[0].Int(), 0)
 		return hir.None
 	})
 	m.RegisterIntrinsic("count_defer", false, func(a []hir.Value) hir.Value {
@@ -236,6 +235,7 @@ func (s *Sender) bindReliability() {
 		if tm, ok := s.rto[seq]; ok {
 			tm.Cancel()
 			delete(s.rto, seq)
+			s.release(s.segs[seq].payload)
 			delete(s.segs, seq)
 		}
 		s.Stats.Acked++
@@ -283,11 +283,12 @@ func (s *Sender) bindReliability() {
 		}
 		if max > 0 && attempt >= max {
 			delete(s.segs, seq)
+			s.release(entry.payload)
 			return // give up on this segment
 		}
 		s.Stats.Retransmits++
 		s.link.transmit(seq, entry.payload, entry.parity)
-		s.armRTO(seq, entry.payload, entry.parity, attempt+1)
+		s.armRTO(seq, attempt+1)
 	}, event.WithOrder(10), event.WithParams("seq", "attempt"))
 
 	b = hir.NewBuilder("to_count", 0)
@@ -298,9 +299,45 @@ func (s *Sender) bindReliability() {
 	s.Mod.Bind(s.Ev.SegmentTimeout, "to_count", b.Fn(), event.WithOrder(20))
 }
 
-// armRTO schedules the retransmission timeout for a segment.
-func (s *Sender) armRTO(seq int64, payload []byte, parity bool, attempt int) {
-	s.segs[seq] = inflightSeg{payload: append([]byte(nil), payload...), parity: parity}
+// foldParity XORs seg into the parity accumulator and returns it. acc is
+// the parity cell's value: empty when a new group starts (the cell is
+// reset after each parity segment), otherwise the accumulator itself. A
+// value the sender does not own is copied in first, so the fold only
+// ever writes the sender's buffer. The result is the XOR of the two,
+// zero-extended to the longer one.
+func (s *Sender) foldParity(acc, seg []byte) []byte {
+	p := s.parity[:cap(s.parity)]
+	if len(acc) > 0 && len(p) > 0 && &acc[0] == &p[0] {
+		p = p[:len(acc)]
+	} else {
+		p = append(p[:0], acc...)
+	}
+	n := subtle.XORBytes(p, p, seg)
+	p = append(p, seg[n:]...)
+	s.parity = p
+	return p
+}
+
+// hold copies a segment into a retransmit buffer the sender owns, where
+// it stays until the segment is acknowledged or given up.
+func (s *Sender) hold(seq int64, payload []byte, parity bool) {
+	var buf []byte
+	if n := len(s.free); n > 0 {
+		buf, s.free = s.free[n-1], s.free[:n-1]
+	}
+	s.segs[seq] = inflightSeg{payload: append(buf[:0], payload...), parity: parity}
+}
+
+// release returns a retransmit buffer to the free list, which keeps at
+// most one buffer per window slot.
+func (s *Sender) release(buf []byte) {
+	if buf != nil && len(s.free) < s.Cfg.Window {
+		s.free = append(s.free, buf)
+	}
+}
+
+// armRTO schedules the retransmission timeout for a held segment.
+func (s *Sender) armRTO(seq int64, attempt int) {
 	s.rto[seq] = s.Sys.RaiseAfter(s.Cfg.RetransmitTimeout, s.Ev.SegmentTimeout,
 		event.Int64("seq", seq), event.Int("attempt", attempt))
 }

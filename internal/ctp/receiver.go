@@ -1,6 +1,9 @@
 package ctp
 
-import "sort"
+import (
+	"bytes"
+	"sort"
+)
 
 // inflightSeg is one unacknowledged transmission retained for
 // retransmission.
@@ -75,7 +78,10 @@ func NewReceiverAt(fecInterval int, next int64) *Receiver {
 }
 
 // Segment accepts one segment from the link (in any order, possibly
-// duplicated) and advances in-order delivery as far as possible.
+// duplicated) and advances in-order delivery as far as possible. The
+// payload is borrowed, as the sender's delivery callbacks lend it: a
+// data segment the receiver keeps is copied, and parity is read only
+// while it is handed in.
 func (r *Receiver) Segment(seq int64, payload []byte, parity bool) {
 	if r.done[seq] || r.segments[seq] != nil {
 		r.Stats.Duplicates++
@@ -91,6 +97,7 @@ func (r *Receiver) Segment(seq int64, payload []byte, parity bool) {
 	if seq != r.next {
 		r.Stats.OutOfOrder++
 	}
+	payload = bytes.Clone(payload)
 	r.segments[seq] = payload
 	if seq >= r.groupBase {
 		r.group[seq] = payload
