@@ -95,9 +95,11 @@ type Policy struct {
 	// Opts configures planning and super-handler construction. The zero
 	// value selects the adaptive defaults: subsumption with graph-chain
 	// evidence, HIR fusion, partitioned (per-event) guards, chains capped
-	// at 8. FullFusion stays off by design: statically splicing nested
-	// raises removes them from the telemetry graph feed, and the
+	// at 8. FullFusion stays off by design: its unguarded splice would
+	// remove nested raises from the telemetry graph feed, and the
 	// controller would demote its own install for lack of observed edges.
+	// The default guarded splice cannot: a system with telemetry fails
+	// every splice guard, so its nested raises stay dispatched and fed.
 	Opts core.Options
 }
 

@@ -307,7 +307,7 @@ type factoryEnv struct {
 	intrIdx    map[string]int
 	cells      []string // sym per stN
 	cellIdx    map[string]int
-	raises     []string // event name per evN
+	raises     []string // event name per evN (raise and guard sites)
 	raiseIdx   map[string]int
 	callScr    []int // scratch length per call site caN
 	raiseScr   []int // scratch length per raise site raN
@@ -638,6 +638,8 @@ func (g *generator) emitInstr(b *bytes.Buffer, env *factoryEnv, plan *emitPlan, 
 		b.WriteString("\t\t}\n")
 	case hir.OpHalt:
 		b.WriteString("\t\tctx.Halt()\n\t\treturn\n")
+	case hir.OpGuard:
+		assign(fmt.Sprintf("hir.BoolVal(ctx.SpliceLive(%d, ev%d))", in.Const.I, env.raiseEvent(in.Sym)))
 	default:
 		return fmt.Errorf("cannot generate op %v", in.Op)
 	}

@@ -60,15 +60,20 @@ type Options struct {
 	// FuseHIR merges the HIR bodies of each covered event's handlers into
 	// one function per segment and runs the compiler passes over it.
 	FuseHIR bool
-	// FullFusion additionally splices subsumed synchronous raises
-	// statically into the entry segment's fused body, removing even the
-	// dynamic chain dispatch. It requires every handler of every covered
-	// event to carry an HIR body: HIR has no bind operation, so the chain
-	// cannot rebind itself mid-execution and the entry guard suffices.
-	// Caveat: an application intrinsic that mutates bindings would break
-	// that assumption — keep bind/unbind out of intrinsics used by fused
-	// handlers, or stay with per-segment fusion (guards re-checked at
-	// every nested dispatch).
+	// FullFusion drops the per-event guards of static subsumption. With
+	// FuseHIR, covered synchronous raises are always spliced into the
+	// entry segment's fused body, each behind a guard on the raised
+	// event's segment (guarded subsumption; the original raise runs when
+	// the guard fails). With FullFusion and Partitioned false, and every
+	// handler of every covered event carrying an HIR body, the raises are
+	// instead spliced without guards before the whole chain is optimized
+	// as one function: the whole-chain guard at entry covers every event,
+	// and HIR has no bind operation, so the chain cannot rebind itself
+	// mid-execution. Caveat: an application intrinsic that mutates
+	// bindings would break that assumption — keep bind/unbind out of
+	// intrinsics used by fused handlers, or keep the guards. With
+	// Partitioned true the entry checks only its own guard, so FullFusion
+	// keeps the guarded form there.
 	FullFusion bool
 	// CompileClosures executes fused bodies through the HIR closure
 	// compiler instead of the interpreter: intrinsic references resolve

@@ -352,6 +352,16 @@ func TestMergeBodiesHaltAndBindArgs(t *testing.T) {
 	}
 }
 
+// targetsOf wraps bare bodies as splice targets (segment indices in map
+// order are irrelevant to the unguarded form).
+func targetsOf(bodies map[string]*hir.Function) map[string]*spliceTarget {
+	out := make(map[string]*spliceTarget, len(bodies))
+	for name, body := range bodies {
+		out[name] = &spliceTarget{body: body, seg: 1, live: body.ReadBeforeWrite()}
+	}
+	return out
+}
+
 func TestSpliceRaisesMapsArgs(t *testing.T) {
 	// caller: raise "X"(v=40+2); callee X: store "got" = arg v + arg missing.
 	cb := hir.NewBuilder("xbody", 0)
@@ -369,7 +379,7 @@ func TestSpliceRaisesMapsArgs(t *testing.T) {
 	b.Return(hir.NoReg)
 	fn := b.Fn()
 
-	spliceRaises(fn, map[string]*hir.Function{"X": cb.Fn()}, 0)
+	spliceRaises(fn, targetsOf(map[string]*hir.Function{"X": cb.Fn()}), false)
 	if err := fn.Validate(); err != nil {
 		t.Fatalf("invalid: %v\n%s", err, fn)
 	}
@@ -399,7 +409,7 @@ func TestSpliceRaisesCyclicBudget(t *testing.T) {
 	bb.Raise("A", nil, nil)
 	bb.Return(hir.NoReg)
 	bodyA := ab.Fn().Clone()
-	spliceRaises(bodyA, map[string]*hir.Function{"A": ab.Fn(), "B": bb.Fn()}, 5)
+	spliceRaises(bodyA, targetsOf(map[string]*hir.Function{"A": ab.Fn(), "B": bb.Fn()}), false)
 	if err := bodyA.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +434,7 @@ func TestSpliceSkipsAsyncRaises(t *testing.T) {
 	b.RaiseAfter(50, "X", nil, nil)
 	b.Return(hir.NoReg)
 	fn := b.Fn()
-	spliceRaises(fn, map[string]*hir.Function{"X": cb.Fn()}, 0)
+	spliceRaises(fn, targetsOf(map[string]*hir.Function{"X": cb.Fn()}), false)
 	raises := 0
 	for bi := range fn.Blocks {
 		for ii := range fn.Blocks[bi].Instrs {

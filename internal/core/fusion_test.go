@@ -118,10 +118,19 @@ func TestPerSegmentFusionEquivalence(t *testing.T) {
 	opts := DefaultOptions()
 	opts.FullFusion = false
 	sys, _ := fusionEquivalence(t, opts)
-	// Per-segment fusion dispatches the nested raise dynamically: the
-	// nested net activation is still counted.
+	// Unobserved, the nested net raise runs as the guarded splice in the
+	// push body: it is not an activation.
+	if got := sys.Stats().Raises.Load(); got != 13 {
+		t.Errorf("Raises = %d, want 13 (nested net raise spliced)", got)
+	}
+	// Observed, the guard fails and the nested raise is dispatched
+	// through its segment: the nested net activation is counted.
+	sys.SetTracer(trace.NewRecorder())
+	sys.Stats().Reset()
+	runPushWorkload(sys, sys.Lookup("push"), 13)
+	sys.SetTracer(nil)
 	if got := sys.Stats().Raises.Load(); got != 26 {
-		t.Errorf("Raises = %d, want 26 (13 push + 13 nested net)", got)
+		t.Errorf("traced Raises = %d, want 26 (13 push + 13 nested net)", got)
 	}
 	// Verify segments actually fused.
 	sh := sys.FastPath(sys.Lookup("push"))
@@ -264,5 +273,121 @@ func TestFusedChainMatchesStepSequenceSemantics(t *testing.T) {
 				t.Errorf("%s: cell %s = %v, want %v", v.name, k, gv, wv)
 			}
 		}
+	}
+}
+
+// TestFullFusionPartitionedSeesInteriorRebind binds a second HIR handler
+// on the interior event net after a FullFusion plan with the default
+// partitioned guards is installed. The spliced copy of net sits behind
+// net's own guard, so the new handler must run on every push.
+func TestFullFusionPartitionedSeesInteriorRebind(t *testing.T) {
+	sys, mod, push := buildHIRPipeline(t)
+	prof := profileOf(t, sys, func() { runPushWorkload(sys, push, 40) })
+	opts := DefaultOptions()
+	opts.FullFusion = true
+	if _, _, err := Apply(sys, prof, mod, opts); err != nil {
+		t.Fatal(err)
+	}
+	b := hir.NewBuilder("h_extra", 0)
+	n := b.Load("extra")
+	b.Store("extra", b.Bin(hir.Add, n, b.Int(1)))
+	b.Return(hir.NoReg)
+	mod.Bind(sys.Lookup("net"), "h_extra", b.Fn(), event.WithOrder(5))
+	mod.Globals.Set("extra", hir.IntVal(0))
+
+	runPushWorkload(sys, push, 3)
+	if got := mod.Globals.Get("extra").Int(); got != 3 {
+		t.Errorf("handler bound on net after install ran %d of 3 times", got)
+	}
+}
+
+// buildLoopRaise builds go, whose one handler raises leaf from a loop
+// counted in the state cell i (flag true on the first pass, false on the
+// second), and leaf, whose handler defines r only on its true arm and
+// stores r after the join. Each activation of leaf starts from cleared
+// registers, so the second raise stores none.
+func buildLoopRaise(t *testing.T) (*event.System, *hirrt.Module, event.ID) {
+	t.Helper()
+	sys := event.New()
+	mod := hirrt.NewModule(sys)
+	goEv := sys.Define("go")
+	leaf := sys.Define("leaf")
+
+	g := hir.NewBuilder("h_go", 0)
+	g.Store("i", g.Int(0))
+	loop := g.NewBlock()
+	done := g.NewBlock()
+	g.SetBlock(hir.Entry)
+	g.Jump(loop)
+	g.SetBlock(loop)
+	i := g.Load("i")
+	flag := g.Bin(hir.Eq, i, g.Int(0))
+	g.Raise("leaf", []string{"flag"}, []hir.Reg{flag})
+	next := g.Bin(hir.Add, i, g.Int(1))
+	g.Store("i", next)
+	g.Branch(g.Bin(hir.Lt, next, g.Int(2)), loop, done)
+	g.SetBlock(done)
+	g.Return(hir.NoReg)
+	mod.Bind(goEv, "h_go", g.Fn())
+
+	l := hir.NewBuilder("h_leaf", 0)
+	f := l.Arg("flag")
+	thenB := l.NewBlock()
+	join := l.NewBlock()
+	l.SetBlock(hir.Entry)
+	l.Branch(f, thenB, join)
+	l.SetBlock(thenB)
+	r := l.Int(1)
+	l.Jump(join)
+	l.SetBlock(join)
+	l.Store("out", r)
+	l.Store("outs", l.Bin(hir.Add, l.Load("outs"), l.Int(1)))
+	l.Return(hir.NoReg)
+	mod.Bind(leaf, "h_leaf", l.Fn())
+	return sys, mod, goEv
+}
+
+// TestSplicedCalleeStartsFromClearedRegisters runs a raise site twice in
+// one activation under both splice forms: the second run of the spliced
+// leaf must not see the register its first run defined.
+func TestSplicedCalleeStartsFromClearedRegisters(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts func() Options
+	}{
+		{"guarded", DefaultOptions},
+		{"basic", func() Options {
+			o := DefaultOptions()
+			o.FullFusion = true
+			o.Partitioned = false
+			return o
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, mod, goEv := buildLoopRaise(t)
+			prof := profileOf(t, sys, func() {
+				for k := 0; k < 20; k++ {
+					sys.Raise(goEv)
+				}
+			})
+			if _, ins, err := Apply(sys, prof, mod, tc.opts()); err != nil {
+				t.Fatal(err)
+			} else if len(ins.Supers) == 0 || len(ins.Supers[0].Segments) != 2 {
+				t.Fatalf("go -> leaf chain not planned: %+v", ins.Supers)
+			}
+			mod.Globals.Set("out", hir.IntVal(7))
+			mod.Globals.Set("outs", hir.IntVal(0))
+			sys.Stats().Reset()
+			sys.Raise(goEv)
+			if got := mod.Globals.Get("outs").Int(); got != 2 {
+				t.Fatalf("leaf ran %d times, want 2", got)
+			}
+			if got := sys.Stats().Raises.Load(); got != 1 {
+				t.Errorf("Raises = %d, want 1 (both leaf raises spliced)", got)
+			}
+			if got := mod.Globals.Get("out"); !got.Equal(hir.None) {
+				t.Errorf("second leaf run stored %v, want none (generic dispatch)", got)
+			}
+		})
 	}
 }

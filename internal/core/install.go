@@ -50,8 +50,9 @@ func (ins *Installed) noteDeopt(sh *event.SuperHandler) {
 
 // Install builds and installs one super-handler per plan entry. mod may
 // be nil when no handlers carry HIR bodies; with a module, segments whose
-// handlers all have HIR bodies are fused and compiler-optimized, and —
-// under FullFusion — subsumed raises are spliced statically.
+// handlers all have HIR bodies are fused and compiler-optimized, and
+// subsumed raises of fused segments are spliced statically into the
+// entry body (behind per-event guards unless FullFusion drops them).
 func (p *Plan) Install(sys *event.System, mod *hirrt.Module) (*Installed, error) {
 	ins := &Installed{sys: sys}
 	for _, entry := range p.Entries {
@@ -141,56 +142,54 @@ func buildSuper(sys *event.System, mod *hirrt.Module, entry PlanEntry, opts Opti
 		sh.Segments = append(sh.Segments, seg)
 	}
 
-	if opts.FuseHIR && mod != nil {
-		info := mod.OptInfo()
-		if opts.FullFusion && allIR && !entry.hasAsync() {
-			// Static subsumption: splice every covered synchronous raise
-			// into the entry body, then optimize the whole chain as one
-			// function. Interior segments keep their steps only as the
-			// per-event fallback path.
-			entryName := sh.Segments[0].EventName
-			body := merged[entryName].Clone()
-			sub := make(map[string]*hir.Function, len(merged))
-			for n, f := range merged {
-				if n != entryName {
-					sub[n] = f
-				}
-			}
-			spliceRaises(body, sub, 0)
-			body = opt.Optimize(body, info, opts.HIR)
-			if err := body.Validate(); err != nil {
-				return nil, fmt.Errorf("fused chain body invalid: %w", err)
-			}
-			fused, err := fusedHandler(mod, body, opts)
-			if err != nil {
-				return nil, err
-			}
-			sh.Segments[0].Fused = fused
-			sh.Segments[0].FusedName = body.Name
-			sh.Segments[0].FusedIR = body
-			return sh, nil
-		}
-		// Per-segment fusion: each covered event gets its own optimized
-		// merged body; nested raises route through the chain dispatcher,
-		// preserving per-event guards.
+	if !opts.FuseHIR || mod == nil {
+		return sh, nil
+	}
+	info := mod.OptInfo()
+	bodies := make([]*hir.Function, len(sh.Segments)) // optimized fused body per segment
+	if opts.FullFusion && !opts.Partitioned && allIR && !entry.hasAsync() {
+		// Basic static subsumption: the whole-chain guard at entry covers
+		// every event, so the covered raises are spliced without guards
+		// and the chain is optimized as one function. Interior segments
+		// keep their steps only as the per-event fallback path.
+		unopt := make([]*hir.Function, len(sh.Segments))
 		for i := range sh.Segments {
-			name := sh.Segments[i].EventName
-			body, ok := merged[name]
-			if !ok {
-				continue
-			}
-			body = opt.Optimize(body, info, opts.HIR)
-			if err := body.Validate(); err != nil {
-				return nil, fmt.Errorf("fused body for %s invalid: %w", name, err)
-			}
-			fused, err := fusedHandler(mod, body, opts)
-			if err != nil {
-				return nil, err
-			}
-			sh.Segments[i].Fused = fused
-			sh.Segments[i].FusedName = body.Name
-			sh.Segments[i].FusedIR = body
+			unopt[i] = merged[sh.Segments[i].EventName]
 		}
+		body := unopt[0].Clone()
+		spliceRaises(body, spliceTargets(sh.Segments, unopt), false)
+		bodies[0] = opt.Optimize(body, info, opts.HIR)
+	} else {
+		// Per-segment fusion: each covered event gets its own optimized
+		// body, then the covered raises of the entry body are spliced
+		// behind per-event guards (guarded subsumption). The optimized
+		// interior bodies are spliced as they are, without another pass
+		// over the grown entry body, and stay installed: continuations,
+		// raises from native steps, leftover raises and every guard
+		// failure still enter them through the segment route.
+		for i := range sh.Segments {
+			if body, ok := merged[sh.Segments[i].EventName]; ok {
+				bodies[i] = opt.Optimize(body, info, opts.HIR)
+			}
+		}
+		if bodies[0] != nil {
+			spliceRaises(bodies[0], spliceTargets(sh.Segments, bodies), true)
+		}
+	}
+	for i, body := range bodies {
+		if body == nil {
+			continue
+		}
+		if err := body.Validate(); err != nil {
+			return nil, fmt.Errorf("fused body for %s invalid: %w", sh.Segments[i].EventName, err)
+		}
+		fused, err := fusedHandler(mod, body, opts)
+		if err != nil {
+			return nil, err
+		}
+		sh.Segments[i].Fused = fused
+		sh.Segments[i].FusedName = body.Name
+		sh.Segments[i].FusedIR = body
 	}
 	return sh, nil
 }

@@ -116,27 +116,59 @@ func offsetRegs(in *hir.Instr, off hir.Reg) {
 	}
 }
 
+// spliceTarget is one covered event whose synchronous raises may be
+// spliced: its fused body, its segment index in the super-handler (the
+// guard's operand) and the body registers it reads before writing.
+type spliceTarget struct {
+	body *hir.Function
+	seg  int
+	live []hir.Reg
+}
+
+// spliceTargets indexes the covered events' bodies by event name for
+// spliceRaises. bodies[i] is segment i's fused body (nil when it has
+// none); the entry (segment 0) is never a target: a raise of it is a
+// cycle and keeps dynamic dispatch.
+func spliceTargets(segs []event.Segment, bodies []*hir.Function) map[string]*spliceTarget {
+	out := make(map[string]*spliceTarget, len(segs))
+	for i := 1; i < len(segs); i++ {
+		if _, dup := out[segs[i].EventName]; dup || bodies[i] == nil || segs[i].EventName == segs[0].EventName {
+			continue
+		}
+		out[segs[i].EventName] = &spliceTarget{body: bodies[i], seg: i, live: bodies[i].ReadBeforeWrite()}
+	}
+	return out
+}
+
 // spliceRaises performs static subsumption (paper Fig. 9): synchronous
 // OpRaise instructions targeting covered events are replaced by the
-// inlined merged body of the raised event, with the callee's OpArg
-// instructions wired to the raise-site argument registers. The budget
-// bounds expansion so cyclic raise patterns terminate; any raise left
-// over dispatches dynamically, which remains correct.
-func spliceRaises(fn *hir.Function, covered map[string]*hir.Function, budget int) {
-	if budget <= 0 {
-		budget = 3*len(covered) + 8
-	}
+// inlined body of the raised event, with the callee's OpArg
+// instructions wired to the raise-site argument registers.
+//
+// Guarded, each splice sits behind an OpGuard on the target's segment
+// (Fig. 14's per-event guard): when the guard fails, the original raise
+// runs and takes the dynamic segment route. Unguarded (the basic form),
+// the raise is removed outright.
+//
+// The budget bounds expansion so cyclic raise patterns terminate; any
+// raise left over dispatches dynamically, which remains correct.
+func spliceRaises(fn *hir.Function, covered map[string]*spliceTarget, guarded bool) {
+	budget := 3*len(covered) + 8
+	fallback := make(map[hir.BlockID]bool) // blocks holding a guarded splice's original raise
 	for n := 0; n < budget; n++ {
-		b, ii := findSyncRaise(fn, covered)
+		b, ii := findSyncRaise(fn, covered, fallback)
 		if ii < 0 {
 			return
 		}
-		expandRaise(fn, b, ii, covered[fn.Blocks[b].Instrs[ii].Sym])
+		expandRaise(fn, b, ii, covered[fn.Blocks[b].Instrs[ii].Sym], guarded, fallback)
 	}
 }
 
-func findSyncRaise(fn *hir.Function, covered map[string]*hir.Function) (hir.BlockID, int) {
+func findSyncRaise(fn *hir.Function, covered map[string]*spliceTarget, skip map[hir.BlockID]bool) (hir.BlockID, int) {
 	for bi := range fn.Blocks {
+		if skip[hir.BlockID(bi)] {
+			continue
+		}
 		for ii := range fn.Blocks[bi].Instrs {
 			in := &fn.Blocks[bi].Instrs[ii]
 			if in.Op == hir.OpRaise && !in.Async && in.Delay == 0 && covered[in.Sym] != nil {
@@ -147,15 +179,23 @@ func findSyncRaise(fn *hir.Function, covered map[string]*hir.Function) (hir.Bloc
 	return 0, -1
 }
 
-// expandRaise splices callee at the raise site in block b, index ii.
-func expandRaise(fn *hir.Function, b hir.BlockID, ii int, callee *hir.Function) {
+// expandRaise splices the target's body at the raise site in block b,
+// index ii. The callee gets fresh registers; those it reads before
+// writing are reset to None first, since a raise site that runs twice in
+// one activation (a loop) would otherwise show the callee the values of
+// the previous run, where a dispatched activation starts from a cleared
+// register file. Guarded, b ends in a branch on the guard, and the
+// original raise moves to a fallback block recorded in fallback.
+func expandRaise(fn *hir.Function, b hir.BlockID, ii int, t *spliceTarget, guarded bool, fallback map[hir.BlockID]bool) {
 	raise := fn.Blocks[b].Instrs[ii] // copy
 	argOf := make(map[string]hir.Reg, len(raise.ArgNames))
 	for i, n := range raise.ArgNames {
-		argOf[n] = raise.Args[i]
+		if _, dup := argOf[n]; !dup { // the first binding wins, as in Args.Get
+			argOf[n] = raise.Args[i]
+		}
 	}
+	callee := t.body
 	regOff := hir.Reg(fn.NumRegs)
-	blockOff := hir.BlockID(len(fn.Blocks) + 1)
 	fn.NumRegs += callee.NumRegs
 
 	cont := hir.BlockID(len(fn.Blocks))
@@ -164,7 +204,20 @@ func expandRaise(fn *hir.Function, b hir.BlockID, ii int, callee *hir.Function) 
 		Term:   fn.Blocks[b].Term,
 	})
 	fn.Blocks[b].Instrs = fn.Blocks[b].Instrs[:ii]
-	fn.Blocks[b].Term = hir.Term{Kind: hir.TermJump, To: blockOff}
+	blockOff := hir.BlockID(len(fn.Blocks))
+	if guarded {
+		g := hir.Reg(fn.NumRegs)
+		fn.NumRegs++
+		fb := hir.BlockID(len(fn.Blocks))
+		fn.Blocks = append(fn.Blocks, hir.Block{Instrs: []hir.Instr{raise}, Term: hir.Term{Kind: hir.TermJump, To: cont}})
+		fallback[fb] = true
+		blockOff++
+		fn.Blocks[b].Instrs = append(fn.Blocks[b].Instrs,
+			hir.Instr{Op: hir.OpGuard, Dst: g, Sym: raise.Sym, Const: hir.IntVal(int64(t.seg))})
+		fn.Blocks[b].Term = hir.Term{Kind: hir.TermBranch, Cond: g, To: blockOff, Else: fb}
+	} else {
+		fn.Blocks[b].Term = hir.Term{Kind: hir.TermJump, To: blockOff}
+	}
 
 	clone := callee.Clone()
 	for ci := range clone.Blocks {
@@ -181,6 +234,13 @@ func expandRaise(fn *hir.Function, b hir.BlockID, ii int, callee *hir.Function) 
 					*in = hir.Instr{Op: hir.OpConst, Dst: in.Dst, Const: hir.None}
 				}
 			}
+		}
+		if ci == int(hir.Entry) && len(t.live) > 0 {
+			reset := make([]hir.Instr, 0, len(t.live)+len(cb.Instrs))
+			for _, r := range t.live {
+				reset = append(reset, hir.Instr{Op: hir.OpConst, Dst: r + regOff, Const: hir.None})
+			}
+			cb.Instrs = append(reset, cb.Instrs...)
 		}
 		switch cb.Term.Kind {
 		case hir.TermJump:

@@ -252,6 +252,11 @@ type chainExec struct {
 	d          *Domain
 	tracer     Tracer
 	supervised bool // record in-flight handler names for fault attribution
+	// splice is set when nothing watches this run: no tracer, no
+	// observation stream and the Propagate policy. Only then may fused
+	// code run a statically spliced raise (Ctx.SpliceLive), because a
+	// spliced raise is not an activation and nothing would see it.
+	splice bool
 }
 
 // start resets ce for a run of sh on domain d and returns it. The fields
@@ -261,6 +266,7 @@ type chainExec struct {
 func (ce *chainExec) start(sh *SuperHandler, d *Domain, tracer Tracer) *chainExec {
 	ce.sh, ce.d, ce.tracer = sh, d, tracer
 	ce.supervised = d.sys.policy() != Propagate
+	ce.splice = tracer == nil && d.sys.obs == nil && !ce.supervised
 	return ce
 }
 
@@ -354,4 +360,20 @@ func (ce *chainExec) dispatchNested(c *Ctx, ev ID, args []Arg) bool {
 		d.noteCurrent(c.Event, c.Name, c.Handler, c.depth)
 	}
 	return true
+}
+
+// SpliceLive reports whether fused code running in c may execute its
+// statically spliced copy of segment seg in place of a synchronous raise
+// of ev (the guard of guarded subsumption, paper Figs. 9 and 14). It
+// holds when c runs under a super-handler whose segment seg is ev with
+// its planned binding version, and nothing watches the run (no tracer,
+// no telemetry or spans, Propagate policy). Otherwise the caller raises
+// ev, and the raise takes the segment route with its per-event
+// fallback, exactly as without the splice.
+func (c *Ctx) SpliceLive(seg int, ev ID) bool {
+	ce := c.chain
+	if ce == nil || !ce.splice || seg <= 0 || seg >= len(ce.sh.Segments) {
+		return false
+	}
+	return ce.sh.Segments[seg].Event == ev && ce.sh.segMatches(seg)
 }

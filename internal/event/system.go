@@ -31,7 +31,10 @@ type Tracer interface {
 // Counters accumulates runtime statistics. All fields are updated with
 // atomic adds so they can be read while the system runs. They exist so
 // tests and benchmarks can verify which dispatch path executed and how
-// much generic-path work was avoided.
+// much generic-path work was avoided. A synchronous raise that fused
+// code runs as its statically spliced copy (Ctx.SpliceLive, which holds
+// only on runs nothing observes) is not an activation: it counts in
+// none of Raises, SyncRaises, HandlersRun or Locks.
 type Counters struct {
 	Raises       atomic.Int64 // all activations (any mode)
 	SyncRaises   atomic.Int64

@@ -193,6 +193,9 @@ func (f *Function) Validate() error {
 			if in.Op == OpRaise && len(in.Args) != len(in.ArgNames) {
 				return fmt.Errorf("hir: %s: b%d[%d]: raise arg mismatch", f.Name, bi, ii)
 			}
+			if in.Op == OpGuard && (in.Const.Kind != KInt || in.Const.I < 0) {
+				return fmt.Errorf("hir: %s: b%d[%d]: guard segment %s is not a non-negative int", f.Name, bi, ii, in.Const)
+			}
 		}
 		t := blk.Term
 		switch t.Kind {

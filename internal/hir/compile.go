@@ -239,6 +239,9 @@ func compileInstr(in *Instr, env *Env, inProgress map[string]bool) (instrFn, err
 			raise(vals)
 			return nil
 		}, nil
+	case OpGuard:
+		guard := env.guard(in)
+		return func(f *frame) error { f.regs[dst] = BoolVal(guard()); return nil }, nil
 	case OpHalt:
 		halt := env.Halt
 		return func(*frame) error {

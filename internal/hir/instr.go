@@ -2,6 +2,7 @@ package hir
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -47,12 +48,20 @@ const (
 	// OpHalt: stop execution of the remaining handlers of the current
 	// event (and of the current function).
 	OpHalt
+	// OpGuard: Dst = whether the statically spliced copy of event Sym's
+	// segment may run in place of its raise: the host checks that
+	// segment Const (an int index) of the running super-handler is still
+	// Sym with its planned binding version, and that nothing observes
+	// the run. It reads host state, so the passes never fold, merge or
+	// drop it.
+	OpGuard
 )
 
 var opNames = [...]string{
 	OpConst: "const", OpMov: "mov", OpArg: "arg", OpBindArg: "bindarg",
 	OpLoad: "load", OpStore: "store", OpBin: "bin", OpUn: "un",
 	OpCall: "call", OpCallFn: "callfn", OpRaise: "raise", OpHalt: "halt",
+	OpGuard: "guard",
 }
 
 // String names the op.
@@ -163,6 +172,59 @@ func (in *Instr) uses(buf []Reg) []Reg {
 	return buf
 }
 
+// ReadBeforeWrite returns, in ascending order, the registers that some
+// path from the entry block reads before writing: the registers whose
+// entry value (None in a fresh execution) the function can observe.
+func (f *Function) ReadBeforeWrite() []Reg {
+	liveIn := make([]map[Reg]bool, len(f.Blocks))
+	for changed := true; changed; {
+		changed = false
+		for bi := len(f.Blocks) - 1; bi >= 0; bi-- {
+			blk := &f.Blocks[bi]
+			live := make(map[Reg]bool)
+			t := blk.Term
+			switch t.Kind {
+			case TermJump:
+				for r := range liveIn[t.To] {
+					live[r] = true
+				}
+			case TermBranch:
+				for r := range liveIn[t.To] {
+					live[r] = true
+				}
+				for r := range liveIn[t.Else] {
+					live[r] = true
+				}
+				live[t.Cond] = true
+			case TermReturn:
+				if t.Ret != NoReg {
+					live[t.Ret] = true
+				}
+			}
+			var buf []Reg
+			for ii := len(blk.Instrs) - 1; ii >= 0; ii-- {
+				in := &blk.Instrs[ii]
+				if in.HasDst() {
+					delete(live, in.Dst)
+				}
+				buf = in.uses(buf[:0])
+				for _, r := range buf {
+					live[r] = true
+				}
+			}
+			if len(live) != len(liveIn[bi]) {
+				liveIn[bi], changed = live, true
+			}
+		}
+	}
+	out := make([]Reg, 0, len(liveIn[Entry]))
+	for r := range liveIn[Entry] {
+		out = append(out, r)
+	}
+	slices.Sort(out)
+	return out
+}
+
 // String renders the instruction.
 func (in *Instr) String() string {
 	var b strings.Builder
@@ -212,6 +274,8 @@ func (in *Instr) String() string {
 		b.WriteByte(')')
 	case OpHalt:
 		b.WriteString("halt")
+	case OpGuard:
+		fmt.Fprintf(&b, "guard %q, %s", in.Sym, in.Const)
 	default:
 		fmt.Fprintf(&b, "%s ?", in.Op)
 	}

@@ -71,6 +71,11 @@ type Env struct {
 	// site.Names, valid only during the call); a nil result, or a nil
 	// LinkRaise, makes the site a no-op.
 	LinkRaise func(site RaiseSite) func(args []Value)
+	// LinkGuard binds one OpGuard site (event name, segment index). It
+	// returns the function every execution of the site calls; a nil
+	// result, or a nil LinkGuard, makes the guard always false, so the
+	// site's original raise runs.
+	LinkGuard func(event string, seg int) func() bool
 	// Halt stops the remaining handlers of the current event (OpHalt).
 	Halt func()
 	// MaxSteps bounds execution (0 means the default of 1<<22); exceeded
@@ -85,6 +90,17 @@ func (env *Env) maxSteps() int {
 		return env.MaxSteps
 	}
 	return defaultMaxSteps
+}
+
+// guard links an OpGuard site; a site the host does not bind is always
+// false.
+func (env *Env) guard(in *Instr) func() bool {
+	if env.LinkGuard != nil {
+		if g := env.LinkGuard(in.Sym, int(in.Const.I)); g != nil {
+			return g
+		}
+	}
+	return func() bool { return false }
 }
 
 // intrinsicSlot resolves an OpCall target to the slot its site holds.
@@ -128,8 +144,8 @@ func ExecReuse(fn *Function, env *Env, scratch []Value, params ...Value) (Value,
 
 // Linked is a Function whose names have been resolved against an Env:
 // loads and stores hold their *Cell, calls their IntrinsicSlot, callfn
-// sites their linked callee, and raises the function LinkRaise returned
-// for them. Linking is done once per body (at bind or install time), so
+// sites their linked callee, raises the function LinkRaise returned
+// for them, and guards the function LinkGuard returned. Linking is done once per body (at bind or install time), so
 // executing a Linked body does no name lookups and, given a large
 // enough scratch buffer, no allocations. A Linked body carries mutable
 // host state and must not run concurrently with itself on one scratch
@@ -161,6 +177,7 @@ type linkedInstr struct {
 	cell      *Cell
 	slot      *IntrinsicSlot
 	raise     func(args []Value)
+	guard     func() bool
 	callee    *Linked // nil when OpCallFn's target is unknown
 }
 
@@ -239,6 +256,8 @@ func (lk *linker) link(fn *Function) (*Linked, error) {
 				if env.LinkRaise != nil {
 					li.raise = env.LinkRaise(RaiseSite{Event: in.Sym, Names: in.ArgNames, Async: in.Async, Delay: in.Delay})
 				}
+			case OpGuard:
+				li.guard = env.guard(in)
 			}
 			code[ii] = li
 		}
@@ -372,6 +391,8 @@ func (l *Linked) run(stack, params []Value, budget *int, depth int) (Value, erro
 					env.Halt()
 				}
 				return None, ErrHalted
+			case OpGuard:
+				regs[in.dst] = BoolVal(in.guard())
 			default:
 				return None, fmt.Errorf("%s: unknown op %v", l.name, in.op)
 			}

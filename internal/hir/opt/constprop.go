@@ -71,22 +71,29 @@ func ConstProp(fn *hir.Function, info *Info) {
 	}
 	in[hir.Entry] = entry
 
-	// Iterate to fixpoint over reachable blocks in RPO.
+	// Iterate to fixpoint over reachable blocks in RPO, revisiting only
+	// blocks whose input changed since their last visit. Each visit
+	// transfers a copy of the block's input in one reused buffer.
 	order := rpo(fn)
+	buf := make(cpState, fn.NumRegs)
+	dirty := make([]bool, n)
+	dirty[hir.Entry] = true
 	for changed := true; changed; {
 		changed = false
 		for _, b := range order {
-			if in[b] == nil {
+			if !dirty[b] {
 				continue
 			}
-			out := transfer(fn, info, b, in[b].clone(), nil)
+			dirty[b] = false
+			copy(buf, in[b])
+			out := transfer(fn, info, b, buf, nil)
 			for _, s := range successors(&fn.Blocks[b]) {
 				if in[s] == nil {
 					in[s] = out.clone()
-					changed = true
-				} else if in[s].meetWith(out) {
-					changed = true
+				} else if !in[s].meetWith(out) {
+					continue
 				}
+				dirty[s], changed = true, true
 			}
 		}
 	}
@@ -96,17 +103,17 @@ func ConstProp(fn *hir.Function, info *Info) {
 		if in[b] == nil {
 			continue
 		}
-		st := in[b].clone()
-		transfer(fn, info, b, st, func(ii int, dst hir.Reg, v hir.Value) {
+		copy(buf, in[b])
+		transfer(fn, info, b, buf, func(ii int, dst hir.Reg, v hir.Value) {
 			instr := &fn.Blocks[b].Instrs[ii]
 			if pure(instr, info) && instr.Op != hir.OpConst {
 				*instr = hir.Instr{Op: hir.OpConst, Dst: dst, Const: v}
 			}
 		})
 		t := &fn.Blocks[b].Term
-		if t.Kind == hir.TermBranch && st[t.Cond].kind == latConst {
+		if t.Kind == hir.TermBranch && buf[t.Cond].kind == latConst {
 			to := t.Else
-			if st[t.Cond].val.Bool() {
+			if buf[t.Cond].val.Bool() {
 				to = t.To
 			}
 			*t = hir.Term{Kind: hir.TermJump, To: to}

@@ -85,6 +85,11 @@ func cseBlock(fn *hir.Function, info *Info, blk *hir.Block) {
 				regVN[in.Dst] = nextVN
 			}
 			continue
+		case hir.OpGuard:
+			// Host state: every execution is a fresh value.
+			nextVN++
+			regVN[in.Dst] = nextVN
+			continue
 		default:
 			continue
 		}

@@ -6,7 +6,7 @@ import (
 
 // DCE removes pure instructions whose results are never used, via an
 // iterative backward liveness analysis over the CFG. Stores, raises,
-// halts and impure calls are always retained.
+// halts, guards and impure calls are always retained.
 func DCE(fn *hir.Function, info *Info) {
 	n := len(fn.Blocks)
 	liveIn := make([]map[hir.Reg]bool, n)

@@ -102,7 +102,8 @@ func pure(in *hir.Instr, info *Info) bool {
 	case hir.OpCall:
 		return info.pureCall(in.Sym)
 	default:
-		// OpStore, OpRaise, OpHalt, OpCallFn (callee effects unknown).
+		// OpStore, OpRaise, OpHalt, OpGuard (reads host state), OpCallFn
+		// (callee effects unknown).
 		return false
 	}
 }

@@ -706,3 +706,37 @@ func TestPeepholeKindSafety(t *testing.T) {
 		t.Errorf("known-int identity not simplified:\n%s", g)
 	}
 }
+
+// TestPassesKeepGuards: a splice guard reads host state, so no pass may
+// fold it, drop it when its result is unused, or let CSE treat the
+// register it redefines as still holding the old value.
+func TestPassesKeepGuards(t *testing.T) {
+	src, err := hir.Parse(`
+func f (params=0, regs=4)
+b0:
+  r0 = load "x"
+  r1 = r0 + r0
+  store "a", r1
+  r0 = guard "E", 1
+  r2 = r0 + r0
+  store "b", r2
+  r3 = guard "E", 2
+  return
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := Optimize(src, nil, Default())
+	if got := countOp(fn, hir.OpGuard); got != 2 {
+		t.Fatalf("guards = %d, want 2\n%s", got, fn)
+	}
+	st := hir.NewState()
+	st.Set("x", hir.IntVal(5))
+	env := &hir.Env{Globals: st, LinkGuard: func(string, int) func() bool { return func() bool { return true } }}
+	if _, err := hir.Exec(fn, env); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := st.Get("a"), st.Get("b"); a.Int() != 10 || b.Int() != 2 {
+		t.Errorf("a = %v (want 10), b = %v (want 2: true + true)\n%s", a, b, fn)
+	}
+}

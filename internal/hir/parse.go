@@ -16,6 +16,7 @@ import (
 //	  r4 = r2 + r3
 //	  store "total", r4
 //	  raise "net" [sync] (len=r4)
+//	  r5 = guard "net", 1
 //	  branch r4 ? b1 : b2
 //	b1:
 //	  return r4
@@ -227,6 +228,21 @@ func parseRHS(rhs string) (Instr, error) {
 	case strings.HasPrefix(rhs, "load "):
 		sym, _, err := parseQuoted(rhs[len("load "):])
 		return Instr{Op: OpLoad, Sym: sym}, err
+	case strings.HasPrefix(rhs, "guard "):
+		// guard "name", SEG
+		sym, rest, err := parseQuoted(rhs[len("guard "):])
+		if err != nil {
+			return Instr{}, err
+		}
+		seg, found := strings.CutPrefix(strings.TrimSpace(rest), ",")
+		if !found {
+			return Instr{}, fmt.Errorf("malformed guard %q", rhs)
+		}
+		n, err := strconv.ParseInt(strings.TrimSpace(seg), 10, 64)
+		if err != nil || n < 0 {
+			return Instr{}, fmt.Errorf("bad guard segment %q", seg)
+		}
+		return Instr{Op: OpGuard, Sym: sym, Const: IntVal(n)}, nil
 	case strings.HasPrefix(rhs, "call "), strings.HasPrefix(rhs, "callfn "):
 		op := OpCall
 		rest := rhs[len("call "):]

@@ -1,6 +1,7 @@
 package hir
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -48,6 +49,20 @@ b0:
   return r0
 `
 
+	guardSrc = `
+func spliced (params=0, regs=2)
+b0:
+  r0 = const 2
+  r1 = guard "net", 1
+  branch r1 ? b1 : b2
+b1:
+  store "spliced", r0
+  return
+b2:
+  raise "net" [sync] (len=r0)
+  return
+`
+
 	badSrcs = []string{
 		"",
 		"notfunc x (params=0, regs=0)",
@@ -58,12 +73,15 @@ b0:
 		"func f (params=0, regs=1)\nb0:\n  r0 = const bytes[3]",
 		"func f (params=0, regs=1)\nb0:\n  wiggle r0",
 		"func f (params=0, regs=1)\nb0:\n  r0 = r1 ?? r0",
-		"func f (params=0, regs=1)\nb0:\n  jump b9",          // out-of-range target
-		"func f (params=0, regs=1)\nb0:\n  branch r0 ? b0",   // malformed branch
-		"func f (params=0, regs=1)\nb0:\n  raise \"E\" x=r0", // missing parens
-		"func f (params=0, regs=1)\nb0:\n  store \"g\"",      // missing reg
-		"func f (params=0, regs=1)\nb0:\n  r0 = arg size",    // unquoted
-		"func f (params=0, regs=2)\nb0:\n  r5 = const 1",     // reg out of range
+		"func f (params=0, regs=1)\nb0:\n  jump b9",              // out-of-range target
+		"func f (params=0, regs=1)\nb0:\n  branch r0 ? b0",       // malformed branch
+		"func f (params=0, regs=1)\nb0:\n  raise \"E\" x=r0",     // missing parens
+		"func f (params=0, regs=1)\nb0:\n  store \"g\"",          // missing reg
+		"func f (params=0, regs=1)\nb0:\n  r0 = arg size",        // unquoted
+		"func f (params=0, regs=2)\nb0:\n  r5 = const 1",         // reg out of range
+		"func f (params=0, regs=1)\nb0:\n  r0 = guard \"E\"",     // missing segment
+		"func f (params=0, regs=1)\nb0:\n  r0 = guard \"E\", -1", // negative segment
+		"func f (params=0, regs=1)\nb0:\n  r0 = guard E, 1",      // unquoted
 	}
 )
 
@@ -104,6 +122,57 @@ func TestParseBasicFunction(t *testing.T) {
 	}
 	if st.Get("total").Int() != 42 {
 		t.Errorf("total = %v", st.Get("total"))
+	}
+}
+
+// TestParseGuard round-trips a guarded splice site and runs it on the
+// interpreter and the closure compiler: a passing guard takes the
+// spliced arm, and a failing or unbound guard runs the original raise.
+func TestParseGuard(t *testing.T) {
+	fn, err := Parse(guardSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in := fn.Blocks[0].Instrs[1]; in.Op != OpGuard || in.Sym != "net" || in.Const.Int() != 1 {
+		t.Fatalf("guard parsed as %v", in.String())
+	}
+	if again, err := Parse(fn.String()); err != nil || again.String() != fn.String() {
+		t.Fatalf("not a fixpoint (%v):\n%s", err, fn)
+	}
+	for _, live := range []bool{true, false} {
+		var site string
+		raised := 0
+		st := NewState()
+		env := &Env{
+			Globals: st,
+			LinkGuard: func(ev string, seg int) func() bool {
+				site = fmt.Sprintf("%s/%d", ev, seg)
+				return func() bool { return live }
+			},
+			LinkRaise: func(RaiseSite) func([]Value) { return func([]Value) { raised++ } },
+		}
+		c, err := Compile(fn, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Exec(fn, env); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.Exec(nil); err != nil {
+			t.Fatal(err)
+		}
+		wantRaised, wantStored := 0, IntVal(2)
+		if !live {
+			wantRaised, wantStored = 2, None
+		}
+		if site != "net/1" || raised != wantRaised || !st.Get("spliced").Equal(wantStored) {
+			t.Errorf("live=%v: site %q, raised %d, spliced=%v", live, site, raised, st.Get("spliced"))
+		}
+	}
+	// With no LinkGuard the guard is false: the original raise runs.
+	raised := 0
+	if _, err := Exec(fn, &Env{LinkRaise: func(RaiseSite) func([]Value) { return func([]Value) { raised++ } }}); err != nil || raised != 1 {
+		t.Errorf("unbound guard: raised %d, err %v", raised, err)
 	}
 }
 
@@ -185,7 +254,7 @@ func TestParseRejectsByteConstantsExplicitly(t *testing.T) {
 // function it accepts must print to a form that parses back to the same
 // printed form.
 func FuzzParse(f *testing.F) {
-	for _, src := range append([]string{basicSrc, constKindsSrc, commentedSrc}, badSrcs...) {
+	for _, src := range append([]string{basicSrc, constKindsSrc, commentedSrc, guardSrc}, badSrcs...) {
 		f.Add(src)
 	}
 	for seed := int64(1); seed <= 4; seed++ {

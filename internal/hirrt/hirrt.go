@@ -232,6 +232,13 @@ func (m *Module) newEnv() (*hir.Env, func(*event.Ctx) *event.Ctx) {
 				}
 			}
 		},
+		LinkGuard: func(name string, seg int) func() bool {
+			id := m.Sys.Lookup(name)
+			if id == event.NoID {
+				return nil // not an event: no segment can match
+			}
+			return func() bool { return cur.SpliceLive(seg, id) }
+		},
 		Halt: func() { cur.Halt() },
 	}
 	return env, func(ctx *event.Ctx) *event.Ctx {

@@ -1,12 +1,17 @@
 package video
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"eventopt/internal/core"
 	"eventopt/internal/ctp"
+	"eventopt/internal/event"
 	"eventopt/internal/profile"
+	"eventopt/internal/span"
+	"eventopt/internal/telemetry"
+	"eventopt/internal/trace"
 )
 
 func newPlayer(t *testing.T, rate int) *Player {
@@ -181,4 +186,102 @@ func TestPlaybackWithOptimizedSender(t *testing.T) {
 		t.Fatalf("playback delivered = %d (stats %+v, next %d)",
 			res.Playback.Delivered, res.Playback, r.Next())
 	}
+}
+
+// TestObservedPlannedRunMatchesGeneric checks the observer rule of
+// guarded subsumption on the video plan: under a tracer, telemetry,
+// spans or a supervising fault policy every spliced raise takes the
+// dynamic segment route, so a planned run raises exactly what a generic
+// run raises over the same frames (and, traced, records the same
+// event-level entries). Unobserved, the spliced raises vanish from the
+// counters: Raises, SyncRaises, HandlersRun and Locks all fall by the
+// same number, and nothing else moves.
+func TestObservedPlannedRunMatchesGeneric(t *testing.T) {
+	const profileFrames, frames = 60, 40
+	run := func(t *testing.T, planned bool, rec *trace.Recorder, opts ...event.Option) (event.StatsSnapshot, []trace.Entry) {
+		t.Helper()
+		p, err := NewPlayer(ctp.DefaultConfig(), 25, 900, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if planned {
+			if _, err := p.Optimize(profileFrames, core.DefaultOptions()); err != nil {
+				t.Fatal(err)
+			}
+		} else if _, err := p.Profile(profileFrames); err != nil {
+			t.Fatal(err)
+		}
+		sys := p.Sender.Sys
+		sys.Stats().Reset()
+		if rec != nil {
+			sys.SetTracer(rec)
+		}
+		p.Run(frames)
+		sys.SetTracer(nil)
+		var events []trace.Entry
+		if rec != nil {
+			for _, e := range rec.Entries() {
+				if e.Kind == trace.EventRaised {
+					events = append(events, e)
+				}
+			}
+		}
+		return sys.Stats().Snapshot(), events
+	}
+
+	observers := []struct {
+		name   string
+		traced bool
+		opts   []event.Option
+	}{
+		{"tracer", true, nil},
+		{"telemetry", false, []event.Option{event.WithTelemetry(telemetry.Config{})}},
+		{"spans", false, []event.Option{event.WithSpanTracing(span.Config{SampleEvery: 1})}},
+		{"quarantine", false, []event.Option{event.WithFaultPolicy(event.Quarantine)}},
+	}
+	for _, o := range observers {
+		t.Run(o.name, func(t *testing.T) {
+			var genRec, planRec *trace.Recorder
+			if o.traced {
+				genRec, planRec = trace.NewRecorder(), trace.NewRecorder()
+			}
+			gen, genEvents := run(t, false, genRec, o.opts...)
+			plan, planEvents := run(t, true, planRec, o.opts...)
+			if plan.FastRuns == 0 {
+				t.Fatal("planned run took no fast path")
+			}
+			if plan.Raises != gen.Raises || plan.SyncRaises != gen.SyncRaises {
+				t.Errorf("planned Raises/SyncRaises = %d/%d, generic %d/%d",
+					plan.Raises, plan.SyncRaises, gen.Raises, gen.SyncRaises)
+			}
+			if !reflect.DeepEqual(planEvents, genEvents) {
+				t.Errorf("event-level trace differs: %d planned entries, %d generic", len(planEvents), len(genEvents))
+			}
+		})
+	}
+
+	t.Run("unobserved", func(t *testing.T) {
+		traced, _ := run(t, true, trace.NewRecorder())
+		bare, _ := run(t, true, nil)
+		spliced := traced.Raises - bare.Raises
+		if spliced <= 0 {
+			t.Fatalf("no raise spliced: traced %d, unobserved %d raises", traced.Raises, bare.Raises)
+		}
+		for _, c := range []struct {
+			name       string
+			obs, unobs int64
+		}{
+			{"SyncRaises", traced.SyncRaises, bare.SyncRaises},
+			{"HandlersRun", traced.HandlersRun, bare.HandlersRun},
+			{"Locks", traced.Locks, bare.Locks},
+		} {
+			if c.obs-c.unobs != spliced {
+				t.Errorf("%s falls by %d, Raises by %d", c.name, c.obs-c.unobs, spliced)
+			}
+		}
+		if traced.AsyncRaises != bare.AsyncRaises || traced.TimedRaises != bare.TimedRaises ||
+			traced.FastRuns != bare.FastRuns || traced.Generic != bare.Generic || traced.SegFallbacks != bare.SegFallbacks {
+			t.Errorf("activations other than spliced raises moved:\ntraced %+v\nbare   %+v", traced, bare)
+		}
+	})
 }
